@@ -18,11 +18,9 @@
 //!
 //! `--campaign-out` additionally times the `sim_campaign` bench's
 //! fixed 12-cell matrix end to end (`run_campaign`, two worker
-//! threads) under the scalar oracle engine and the default batched
-//! lane engine, and writes the medians in milliseconds.
+//! threads) and writes the median in milliseconds.
 
 use pn_sim::campaign::{run_campaign, CampaignSpec, GovernorSpec};
-use pn_sim::engine::EngineKind;
 use pn_sim::executor::Executor;
 use pn_sim::scenario;
 use pn_sim::supply::SupplyModel;
@@ -110,15 +108,11 @@ fn campaign_matrix() -> CampaignSpec {
 }
 
 /// Median wall milliseconds for one full `run_campaign` of the
-/// 12-cell matrix under `engine`. The warm-up run renders the six
-/// distinct day traces into the process-wide day memo, so the timed
-/// runs measure steady-state campaign throughput.
-fn measure_campaign(
-    engine: EngineKind,
-    executor: &Executor,
-    runs: usize,
-) -> Result<f64, pn_sim::SimError> {
-    let spec = campaign_matrix().with_engine(engine);
+/// 12-cell matrix. The warm-up run renders the six distinct day traces
+/// into the process-wide day memo, so the timed runs measure
+/// steady-state campaign throughput.
+fn measure_campaign(executor: &Executor, runs: usize) -> Result<f64, pn_sim::SimError> {
+    let spec = campaign_matrix();
     run_campaign(&spec, executor)?;
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
@@ -155,18 +149,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &cli.campaign_out {
         let executor = Executor::new(2);
-        let scalar_ms = measure_campaign(EngineKind::Scalar, &executor, cli.runs)?;
-        let batched_ms = measure_campaign(EngineKind::Batched, &executor, cli.runs)?;
+        let median_ms = measure_campaign(&executor, cli.runs)?;
         let json = format!(
             "{{\n  \"bench\": \"sim_campaign\",\n  \"matrix_cells\": 12,\n  \
              \"simulated_seconds_per_cell\": 5,\n  \"threads\": {},\n  \"runs\": {},\n  \
-             \"scalar_median_ms\": {:.3},\n  \"batched_median_ms\": {:.3},\n  \
-             \"speedup\": {:.3}\n}}\n",
+             \"median_ms\": {:.3}\n}}\n",
             executor.threads(),
             cli.runs,
-            scalar_ms,
-            batched_ms,
-            scalar_ms / batched_ms
+            median_ms
         );
         print!("{json}");
         std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;

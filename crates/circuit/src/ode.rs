@@ -327,12 +327,35 @@ impl Rk23 {
         y: &[f64; N],
         t_limit: f64,
     ) -> Result<AcceptedStep<N>, CircuitError> {
+        let f0 = system.eval(t, y);
+        self.step_from(system, t, y, f0, t_limit)
+    }
+
+    /// [`Rk23::step`] with the derivative `f0 = f(t, y)` already known.
+    ///
+    /// Bogacki–Shampine is first-same-as-last: an accepted step's
+    /// [`AcceptedStep::f1`] is the derivative at its end point, so a
+    /// caller that starts the next step from exactly `(t1, y1)` with an
+    /// unchanged right-hand side can pass it here and save one
+    /// evaluation per step. Given the same `f0` the system would
+    /// return, the result is bitwise that of [`Rk23::step`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Rk23::step`].
+    pub fn step_from<const N: usize>(
+        &mut self,
+        system: &mut impl OdeSystem<N>,
+        t: f64,
+        y: &[f64; N],
+        f0: [f64; N],
+        t_limit: f64,
+    ) -> Result<AcceptedStep<N>, CircuitError> {
         if !(t_limit > t) {
             return Err(CircuitError::InvalidArgument("t_limit must exceed t"));
         }
         let opts = self.options;
         let mut h = self.h.clamp(opts.min_step, opts.max_step).min(t_limit - t);
-        let f0 = system.eval(t, y);
         loop {
             // Bogacki–Shampine tableau.
             let k1 = f0;
@@ -473,6 +496,27 @@ mod tests {
             tiny.notify_discontinuity();
         }
         assert!(tiny.current_step() >= tiny.options().min_step);
+    }
+
+    #[test]
+    fn step_from_a_known_derivative_is_bitwise_step() {
+        // A time-dependent, nonlinear right-hand side with a rejection
+        // on the first try: every controller path must agree.
+        let mut f = |t: f64, y: &[f64; 2]| [y[1] * t.cos(), -y[0] * y[0].abs() - 0.3 * y[1]];
+        let opts = AdaptiveOptions::new().with_max_step(0.4).with_tolerances(1e-8, 1e-10);
+        let (mut plain, mut known) = (Rk23::new(opts), Rk23::new(opts));
+        plain.h = 0.4;
+        known.h = 0.4;
+        let (mut t, mut y) = (0.0, [1.0, 0.5]);
+        let mut f0 = f(t, &y);
+        while t < 3.0 {
+            let a = plain.step(&mut f, t, &y, 3.0).unwrap();
+            let b = known.step_from(&mut f, t, &y, f0, 3.0).unwrap();
+            assert_eq!(a, b, "diverged at t = {t}");
+            assert_eq!(plain.current_step().to_bits(), known.current_step().to_bits());
+            (t, y, f0) = (b.t1, b.y1, b.f1);
+        }
+        assert!(known.step_from(&mut f, 1.0, &y, f0, 1.0).is_err());
     }
 
     #[test]

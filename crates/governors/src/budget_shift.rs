@@ -4,14 +4,17 @@
 //! SysScale-style multi-domain management: instead of stepping one
 //! combined ladder, the governor maintains a watt budget derived from
 //! the buffer's state of charge and asks the shared-budget allocator
-//! ([`PowerBudget::allocate`]) for the throughput-maximal per-domain
-//! split that fits. Surplus charge grows the budget — watts flow into
-//! the big domain; deficit shrinks it — the big cluster drains first
-//! and the remaining budget concentrates in the efficient LITTLE
-//! domain.
+//! for the throughput-maximal per-domain split that fits. Surplus
+//! charge grows the budget — watts flow into the big domain; deficit
+//! shrinks it — the big cluster drains first and the remaining budget
+//! concentrates in the efficient LITTLE domain.
+//!
+//! The allocator's answers are precomputed once, at construction, as
+//! an [`AllocationLadder`], so a tick is a binary search rather than a
+//! scan of every OPP through the power model.
 
 use pn_core::events::{Governor, GovernorAction, GovernorEvent};
-use pn_soc::domain::PowerBudget;
+use pn_soc::domain::{AllocationLadder, PowerBudget};
 use pn_soc::freq::FrequencyTable;
 use pn_soc::opp::Opp;
 use pn_soc::perf::PerfModel;
@@ -58,9 +61,7 @@ pub const DEFAULT_PERIOD: Seconds = Seconds::new(0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BudgetShift {
-    power: PowerModel,
-    perf: PerfModel,
-    table: FrequencyTable,
+    ladder: AllocationLadder,
     target_voltage: Volts,
     reserve_voltage: Volts,
     gain_w_per_v: f64,
@@ -69,11 +70,9 @@ pub struct BudgetShift {
 
 impl BudgetShift {
     /// Creates the governor from its planning models.
-    pub fn new(power: PowerModel, perf: PerfModel, table: FrequencyTable) -> Self {
+    pub fn new(power: &PowerModel, perf: &PerfModel, table: &FrequencyTable) -> Self {
         Self {
-            power,
-            perf,
-            table,
+            ladder: AllocationLadder::new(power, perf, table),
             target_voltage: Volts::new(5.3),
             reserve_voltage: DEFAULT_RESERVE,
             gain_w_per_v: DEFAULT_GAIN_W_PER_V,
@@ -83,8 +82,7 @@ impl BudgetShift {
 
     /// Creates the governor planning with `platform`'s models.
     pub fn for_platform(platform: &Platform) -> Self {
-        let mut gov =
-            Self::new(platform.power().clone(), *platform.perf(), platform.frequencies().clone());
+        let mut gov = Self::new(platform.power(), platform.perf(), platform.frequencies());
         gov.target_voltage = platform.target_voltage();
         gov
     }
@@ -117,7 +115,7 @@ impl BudgetShift {
         let headroom = vc.value() - self.reserve_voltage.value();
         let budget_w = (self.gain_w_per_v * headroom).max(0.0);
         let budget = PowerBudget::new(Watts::new(budget_w)).expect("budget is clamped finite");
-        let target = match budget.allocate(&self.power, &self.perf, &self.table) {
+        let target = match self.ladder.allocate(&budget) {
             Some((opp, _)) => opp,
             // Even the floor point is over budget: retreat to it and
             // let harvest refill the buffer.

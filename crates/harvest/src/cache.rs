@@ -142,9 +142,16 @@ impl TraceCache {
             .count()
     }
 
-    /// `true` when no trace has been cached yet.
+    /// `true` when no trace is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Drops every cached trace, releasing the memory of traces no
+    /// other `Arc` still holds. The hit and miss counters keep
+    /// counting; a later lookup renders its day afresh.
+    pub fn clear(&self) {
+        self.entries.lock().expect("trace cache poisoned").clear();
     }
 }
 
@@ -187,6 +194,18 @@ mod tests {
         assert_eq!(builds, 1, "builder must run once per key");
         assert_eq!((cache.hits(), cache.misses()), (3, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn clear_drops_every_trace_and_later_lookups_rebuild() {
+        let cache = TraceCache::new();
+        let first = cache.get_or_build(Weather::Cloudy, 3, || day(Weather::Cloudy, 3)).unwrap();
+        cache.get_or_build(Weather::FullSun, 3, || day(Weather::FullSun, 3)).unwrap();
+        cache.clear();
+        assert!(cache.is_empty());
+        let again = cache.get_or_build(Weather::Cloudy, 3, || day(Weather::Cloudy, 3)).unwrap();
+        assert_eq!(again, first);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 3, 1));
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! # }
 //! ```
 
-use crate::engine::{EngineKind, SimOverrides, SimReport, Simulation};
+use crate::engine::{EngineKind, SimOverrides, Simulation};
 use crate::executor::Executor;
-use crate::lanes::run_batch;
 use crate::scenario::{self, Scenario};
 use crate::supply::SupplyModel;
 use crate::SimError;
@@ -157,8 +156,7 @@ impl GovernorSpec {
     }
 
     /// Assembles (without running) the simulation [`GovernorSpec::run`]
-    /// would execute — the handle the batched lane engine collects one
-    /// of per cell before stepping the whole group.
+    /// would execute.
     ///
     /// # Errors
     ///
@@ -337,16 +335,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Selects the execution engine for every cell (builder style);
-    /// shorthand for the corresponding
-    /// [`CampaignSpec::with_cell_options`] override. `Scalar` forces
-    /// each cell to run alone — the oracle the batched lane engine is
-    /// checked against.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.options.engine = Some(engine);
-        self
-    }
-
     /// Enables or disables idle-state (DPM) requests for every cell
     /// (builder style); shorthand for the corresponding
     /// [`CampaignSpec::with_cell_options`] override. Disabling turns
@@ -388,8 +376,8 @@ impl CampaignSpec {
         let mut out = Vec::with_capacity(self.cell_count());
         let Some(first_params) = self.params.first() else { return out };
         // Stress axes nest inside (weather, seed) so every cell of one
-        // rendered day stays contiguous — lane grouping still batches a
-        // whole day into one executor item.
+        // rendered day stays contiguous: a shard touches as few days as
+        // the matrix allows.
         for &weather in &self.weathers {
             for &seed in &self.seeds {
                 for &thermal in &self.thermals {
@@ -651,14 +639,6 @@ impl CampaignCell {
         self.options.supply_model.unwrap_or_default()
     }
 
-    /// The execution engine this cell runs under (its override, or the
-    /// default batched lane engine). Scalar and batched runs produce
-    /// bitwise-identical outcomes; the knob exists to keep the scalar
-    /// path exercisable as the batched engine's oracle.
-    pub fn engine(&self) -> EngineKind {
-        self.options.engine.unwrap_or_default()
-    }
-
     /// Runs the cell and reduces the report to a [`CellOutcome`].
     ///
     /// # Errors
@@ -676,13 +656,6 @@ impl CampaignCell {
     pub fn evaluate_with(&self, cache: Option<&TraceCache>) -> Result<CellOutcome, SimError> {
         let scenario = self.scenario_with(cache)?;
         let report = self.governor.run(&scenario)?;
-        self.reduce(&scenario, report)
-    }
-
-    /// Reduces a finished simulation to this cell's [`CellOutcome`] —
-    /// the tail of [`CampaignCell::evaluate`], shared with the batched
-    /// lane engine (which separates running from reducing).
-    fn reduce(&self, scenario: &Scenario, report: SimReport) -> Result<CellOutcome, SimError> {
         let target = scenario.platform().target_voltage();
         let alive = report.lifetime_or_duration();
         let recorder = report.recorder();
@@ -1166,88 +1139,18 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
 /// engine error in matrix order. Shared with the adaptive driver,
 /// which batches each refinement round's probe cells through it.
 ///
-/// Dispatch is by *lane group*, not by cell: maximal contiguous runs
-/// of cells that share a `(weather, seed)` day and opt into the
-/// batched engine become one executor item each, and the worker that
-/// claims a group steps all its lanes together against the shared
-/// trace ([`run_batch`]). Scalar cells stay one item each. The
-/// executor returns groups in item order and every group's outcomes
-/// are in matrix order, so the flattened result — like the scalar
-/// path's — is bitwise independent of the thread count.
+/// Every cell is one executor item, so work stealing balances the
+/// matrix cell by cell: a worker builds the cell's scenario (its day
+/// from `cache` or the process-wide memo), runs it and reduces it
+/// before claiming the next. The executor returns results in item
+/// order, so the outcome vector is bitwise independent of the thread
+/// count.
 pub(crate) fn evaluate_cells(
     cells: &[CampaignCell],
     executor: &Executor,
     cache: Option<&TraceCache>,
 ) -> Result<Vec<CellOutcome>, SimError> {
-    let groups = lane_groups(cells);
-    let outcomes = executor.map(&groups, |_, group| {
-        evaluate_group(&cells[group.start..group.end], cache)
-    });
-    let mut reduced = Vec::with_capacity(cells.len());
-    for group in outcomes {
-        reduced.extend(group?);
-    }
-    Ok(reduced)
-}
-
-/// One executor work item: a contiguous span of the cell slice that
-/// runs as a single lane batch (or a scalar singleton).
-#[derive(Debug, Clone, Copy)]
-struct LaneGroup {
-    start: usize,
-    end: usize,
-}
-
-/// Splits `cells` into maximal contiguous spans sharing one
-/// `(weather, seed)` day, breaking at every scalar-engine cell (which
-/// forms a singleton span of its own). The matrix enumeration is
-/// weather-major then seed, so all cells of one day land in one span.
-fn lane_groups(cells: &[CampaignCell]) -> Vec<LaneGroup> {
-    let mut groups: Vec<LaneGroup> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let batched = cell.engine() == EngineKind::Batched;
-        if batched {
-            if let Some(last) = groups.last_mut() {
-                let prev = &cells[last.end - 1];
-                if prev.engine() == EngineKind::Batched
-                    && prev.weather == cell.weather
-                    && prev.seed == cell.seed
-                {
-                    last.end = i + 1;
-                    continue;
-                }
-            }
-        }
-        groups.push(LaneGroup { start: i, end: i + 1 });
-    }
-    groups
-}
-
-/// Evaluates one lane group: scalar cells run alone through
-/// [`CampaignCell::evaluate_with`]; a batched group builds every
-/// lane's simulation first (all sharing the day's trace) and steps
-/// them together. Both paths produce bitwise-identical outcomes.
-fn evaluate_group(
-    group: &[CampaignCell],
-    cache: Option<&TraceCache>,
-) -> Result<Vec<CellOutcome>, SimError> {
-    if group.len() == 1 && group[0].engine() == EngineKind::Scalar {
-        return Ok(vec![group[0].evaluate_with(cache)?]);
-    }
-    let mut scenarios = Vec::with_capacity(group.len());
-    let mut sims = Vec::with_capacity(group.len());
-    for cell in group {
-        let scenario = cell.scenario_with(cache)?;
-        sims.push(cell.governor.simulation(&scenario)?);
-        scenarios.push(scenario);
-    }
-    let reports = run_batch(sims)?;
-    group
-        .iter()
-        .zip(scenarios.iter())
-        .zip(reports)
-        .map(|((cell, scenario), report)| cell.reduce(scenario, report))
-        .collect()
+    executor.map(cells, |_, cell| cell.evaluate_with(cache)).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1666,61 +1569,27 @@ mod tests {
     }
 
     #[test]
-    fn lane_groups_split_on_day_and_engine() {
-        let base = CampaignCell {
-            weather: Weather::FullSun,
-            seed: 1,
-            thermal: ThermalSpec::Off,
-            arrival: ArrivalSpec::Saturated,
-            fault: FaultSpec::None,
-            buffer_mf: 47.0,
-            governor: GovernorSpec::Powersave,
-            params: ControlParams::paper_optimal().unwrap(),
-            duration: Seconds::new(5.0),
-            options: SimOverrides::none(),
-        };
-        let scalar = SimOverrides::none().with_engine(EngineKind::Scalar);
-        let cells = [
-            base,                                                // ┐ one FullSun/1 group
-            CampaignCell { governor: GovernorSpec::PowerNeutral, ..base }, // ┘
-            CampaignCell { seed: 2, ..base },                    // new day → new group
-            CampaignCell { options: scalar, seed: 2, ..base },   // scalar → singleton
-            CampaignCell { seed: 2, ..base },                    // batched again → new group
-            CampaignCell { weather: Weather::Cloudy, seed: 2, ..base }, // new weather
-        ];
-        let spans: Vec<(usize, usize)> =
-            lane_groups(&cells).iter().map(|g| (g.start, g.end)).collect();
-        assert_eq!(spans, vec![(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
-        // The full smoke matrix groups into one span per (weather, seed)
-        // day under the default batched engine.
-        let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]);
-        let groups = lane_groups(&spec.cells());
-        assert_eq!(groups.len(), spec.weathers.len() * 2);
-    }
-
-    #[test]
-    fn batched_campaign_is_bitwise_the_scalar_one() {
-        let batched = CampaignSpec::smoke().with_duration(Seconds::new(5.0));
-        let scalar = batched
-            .clone()
-            .with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar));
-        assert!(batched.cells().iter().all(|c| c.engine() == EngineKind::Batched));
-        assert!(scalar.cells().iter().all(|c| c.engine() == EngineKind::Scalar));
+    fn the_recorded_engine_token_changes_no_outcome() {
+        // The token survives on the wire but selects nothing: a spec
+        // carrying either one reproduces the default run except for
+        // the recorded option itself.
+        let spec = CampaignSpec::smoke().with_duration(Seconds::new(5.0));
         let executor = Executor::sequential();
-        let b = run_campaign(&batched, &executor).unwrap();
-        let s = run_campaign(&scalar, &executor).unwrap();
-        // The engine knob must be the only difference between the
-        // outcome sets: compare everything but the recorded options.
-        assert_eq!(b.len(), s.len());
-        for (x, y) in b.cells().iter().zip(s.cells()) {
-            let mut y_cell = *y;
-            y_cell.cell.options.engine = x.cell.options.engine;
-            assert_eq!(*x, CellOutcome { cell: y_cell.cell, ..*y }, "{} diverged", x.cell.label());
+        let plain = run_campaign(&spec, &executor).unwrap();
+        for kind in [EngineKind::Scalar, EngineKind::Batched] {
+            let tagged = spec.clone().with_cell_options(SimOverrides::none().with_engine(kind));
+            let report = run_campaign(&tagged, &executor).unwrap();
+            for (x, y) in plain.cells().iter().zip(report.cells()) {
+                assert_eq!(y.cell.options.engine, Some(kind));
+                let mut y = *y;
+                y.cell.options.engine = None;
+                assert_eq!(*x, y, "{} diverged under {kind}", x.cell.label());
+            }
         }
     }
 
     #[test]
-    fn group_dispatch_is_thread_count_invariant() {
+    fn per_cell_dispatch_is_thread_count_invariant() {
         let spec = CampaignSpec::smoke().with_seeds(vec![1, 2]).with_duration(Seconds::new(4.0));
         let sequential = run_campaign(&spec, &Executor::sequential()).unwrap();
         for threads in [2, 3, 8] {

@@ -274,7 +274,9 @@ struct Job {
     dir: PathBuf,
     cells: Vec<CampaignCell>,
     shards: Vec<CampaignShard>,
-    /// Day traces shared by every worker touching this job.
+    /// Day traces shared by every worker touching this job; emptied
+    /// once the job is merged or failed, since nothing simulates for it
+    /// again.
     cache: TraceCache,
     state: Mutex<JobState>,
     /// Notified whenever rows are appended, the job finishes, or it
@@ -398,7 +400,7 @@ impl Daemon {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("campaignd-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -590,80 +592,111 @@ fn register_job(shared: &Arc<Shared>, job: &Arc<Job>) {
 // Workers
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let task = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
+/// A worker: simulates queued shards one at a time and hands each
+/// finished one to its own checkpoint thread, so the next shard
+/// simulates while the last one's encode, write and fsync are in
+/// flight. The rendezvous channel keeps at most one shard in flight
+/// per worker; at shutdown the worker drops its sender, the in-flight
+/// shard still checkpoints, and the scope joins both threads.
+fn worker_loop(shared: &Shared, index: usize) {
+    std::thread::scope(|scope| {
+        let (finished, simulated) = std::sync::mpsc::sync_channel::<Simulated>(0);
+        std::thread::Builder::new()
+            .name(format!("campaignd-checkpoint-{index}"))
+            .spawn_scoped(scope, move || {
+                for shard in simulated {
+                    checkpoint_shard(shard, shared);
+                }
+            })
+            .expect("spawn checkpoint thread");
+        loop {
+            let task = {
+                let mut queue = shared.queue.lock().expect("queue lock");
+                loop {
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    if let Some(task) = queue.pop_front() {
+                        break task;
+                    }
+                    let (guard, _) = shared
+                        .queue_cond
+                        .wait_timeout(queue, WAIT_TICK)
+                        .expect("queue lock");
+                    queue = guard;
+                }
+            };
+            if let Some(shard) = simulate_shard(task) {
+                if finished.send(shard).is_err() {
                     return;
                 }
-                if let Some(task) = queue.pop_front() {
-                    break task;
+                if let Some(pause) = shared.throttle {
+                    std::thread::sleep(pause);
                 }
-                let (guard, _) = shared
-                    .queue_cond
-                    .wait_timeout(queue, WAIT_TICK)
-                    .expect("queue lock");
-                queue = guard;
-            }
-        };
-        let executed = run_task(&task, shared);
-        if executed {
-            if let Some(pause) = shared.throttle {
-                std::thread::sleep(pause);
             }
         }
-    }
+    });
 }
 
-/// Runs one shard to completion: simulate (panic contained),
-/// checkpoint atomically, publish its rows, and merge the job when it
-/// was the last shard. Returns whether the shard was actually
-/// simulated (vs. skipped because it was already done or its job had
-/// failed).
-fn run_task(task: &Task, shared: &Shared) -> bool {
+/// A shard that has run, on its way to its checkpoint.
+struct Simulated {
+    task: Task,
+    outcome: std::thread::Result<Result<CampaignReport, SimError>>,
+}
+
+/// Runs one shard to completion (panic contained), or `None` when it
+/// is skipped because it was already done or its job had failed.
+fn simulate_shard(task: Task) -> Option<Simulated> {
     let job = &task.job;
     {
         let state = job.state.lock().expect("job state lock");
         if state.failed.is_some() || state.shard_reports[task.shard].is_some() {
-            return false;
+            return None;
         }
     }
     let shard = &job.shards[task.shard];
     // One sequential executor per shard: parallelism comes from the
-    // worker pool (shards run concurrently), batching from the lane
-    // engine inside the shard. The catch_unwind contains a poisoned
-    // cell to its job — the daemon itself must survive any panic.
+    // worker pool (shards run concurrently), one cell at a time inside
+    // the shard. The catch_unwind contains a poisoned cell to its job
+    // — the daemon itself must survive any panic.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shard.run_with(&Executor::sequential(), Some(&job.cache))
     }));
+    Some(Simulated { task, outcome })
+}
+
+/// Checkpoints a simulated shard atomically, publishes its rows, and
+/// merges the job when it was the last shard; a failed shard fails
+/// its job instead.
+fn checkpoint_shard(Simulated { task, outcome }: Simulated, shared: &Shared) {
+    let job = &task.job;
     match outcome {
         Ok(Ok(report)) => {
             let path = job.dir.join(format!("shard-{}.pnc", task.shard));
             // Injected (transient) write faults are retried within the
             // shard's budget; a deterministic write failure — like the
             // deterministic engine failure below — fails the job.
-            if let Err(e) = write_artifact(shared, &path, &persist::report_to_string(&report)) {
-                fail_job(job, format!("cannot checkpoint shard {}: {e}", task.shard));
-                return true;
+            match write_artifact(shared, &path, &persist::report_to_string(&report)) {
+                Ok(()) => {
+                    let mut state = job.state.lock().expect("job state lock");
+                    push_shard_rows(&mut state, job.shards[task.shard].start(), &report);
+                    state.shard_reports[task.shard] = Some(report);
+                    drop(state);
+                    job.cond.notify_all();
+                    maybe_finish(shared, job);
+                }
+                Err(e) => fail_job(job, format!("cannot checkpoint shard {}: {e}", task.shard)),
             }
-            let mut state = job.state.lock().expect("job state lock");
-            push_shard_rows(&mut state, shard.start(), &report);
-            state.shard_reports[task.shard] = Some(report);
-            drop(state);
-            job.cond.notify_all();
-            maybe_finish(shared, job);
-            true
         }
-        Ok(Err(e)) => {
-            fail_job(job, format!("shard {} failed: {e}", task.shard));
-            true
-        }
+        Ok(Err(e)) => fail_job(job, format!("shard {} failed: {e}", task.shard)),
         Err(payload) => {
             fail_job(job, format!("shard {} worker panicked: {}", task.shard, panic_message(&payload)));
-            true
         }
+    }
+    // A failed job never simulates again: release its day traces,
+    // including any this shard rendered after another one failed it.
+    if job.state.lock().expect("job state lock").failed.is_some() {
+        job.cache.clear();
     }
 }
 
@@ -684,6 +717,9 @@ fn maybe_finish(shared: &Shared, job: &Arc<Job>) {
     if state.shard_reports.iter().any(Option::is_none) {
         return;
     }
+    // Every shard is done, so nothing simulates for this job again:
+    // release its day traces before watchers can see it finish.
+    job.cache.clear();
     let parts: Vec<CampaignReport> = state.shard_reports.iter().flatten().cloned().collect();
     let merged = CampaignReport::merge(parts)
         .and_then(|report| validate_saved_slice(&job.cells, &report).map(|()| report));
@@ -1630,6 +1666,66 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn a_finished_job_releases_its_traces_and_keeps_serving() {
+        let dir = std::env::temp_dir()
+            .join(format!("pn-campaignd-unit-release-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(2)).expect("start");
+        let addr = daemon.addr().to_string();
+        let spec = CampaignSpec::smoke().with_duration(pn_units::Seconds::new(2.0));
+        let ticket = submit(&addr, &spec, 3).expect("submit");
+        let csv = watch_csv(&addr, ticket.id).expect("watch");
+
+        let job = find_job(&daemon.shared, ticket.id).expect("job registered");
+        assert!(job.cache.misses() > 0, "the job's shards rendered through its cache");
+        assert!(job.cache.is_empty(), "a merged job must not pin its day traces");
+        {
+            let state = job.state.lock().expect("job state lock");
+            assert_eq!(state.rows.len(), spec.cell_count());
+            assert_eq!(state.merged.as_ref().map(CampaignReport::len), Some(spec.cell_count()));
+        }
+        // Rows and report stay servable after the release.
+        assert_eq!(watch_csv(&addr, ticket.id).expect("re-watch"), csv);
+        let report = status(&addr, ticket.id).expect("status");
+        assert_eq!((report.state.as_str(), report.done_cells), ("done", spec.cell_count()));
+        assert!(dir.join(format!("job-{}", ticket.id)).join("report.pnc").is_file());
+        daemon.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stop_checkpoints_every_shard_already_simulated() {
+        let dir = std::env::temp_dir()
+            .join(format!("pn-campaignd-unit-drain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(
+            DaemonConfig::new(&dir).with_workers(2).with_throttle(Duration::from_millis(200)),
+        )
+        .expect("start");
+        let addr = daemon.addr().to_string();
+        let spec = CampaignSpec::smoke().with_duration(pn_units::Seconds::new(2.0));
+        let ticket = submit(&addr, &spec, 0).expect("submit");
+        let job = find_job(&daemon.shared, ticket.id).expect("job registered");
+        while job.state.lock().expect("job state lock").rows.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        daemon.stop();
+
+        // Every shard handed to a checkpoint thread before the stop is
+        // on disk, published, and nothing else is.
+        let state = job.state.lock().expect("job state lock");
+        assert!(state.merged.is_none(), "the throttle keeps the job unfinished");
+        for (shard, report) in state.shard_reports.iter().enumerate() {
+            let path = dir.join(format!("job-{}", ticket.id)).join(format!("shard-{shard}.pnc"));
+            assert_eq!(report.is_some(), path.is_file(), "shard {shard}");
+        }
+        let done: usize = state.shard_reports.iter().flatten().map(CampaignReport::len).sum();
+        assert_eq!(state.rows.len(), done);
+        drop(state);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

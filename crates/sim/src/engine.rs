@@ -29,28 +29,22 @@ use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
 use serde::{Deserialize, Serialize};
 
-/// Which execution path a campaign uses to run its cells.
+/// The campaign engine token of the v3–v6 wire dialects.
 ///
-/// Both paths produce bitwise-identical [`SimReport`]s — the batched
-/// lane engine interleaves the *same* per-cell state machines the
-/// scalar path runs one at a time, and lanes share no mutable state —
-/// so the choice is purely about throughput. `Scalar` remains the
-/// bit-exactness oracle for golden artifacts and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// It selects nothing — every campaign cell runs on its own — but
+/// saved specs and checkpoints carry it, so it is still parsed, kept
+/// and re-emitted to make them round-trip byte for byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// Run each campaign cell's simulation loop to completion on its
-    /// own — the reference path.
+    /// The `scalar` token.
     Scalar,
-    /// Group campaign cells sharing a `(weather, seed)` day and
-    /// advance the whole group's lanes together, time-ordered, against
-    /// one shared irradiance trace (see `pn_sim::lanes`).
-    #[default]
+    /// The `batched` token.
     Batched,
 }
 
 impl EngineKind {
-    /// Stable machine token (`scalar` / `batched`) for persistence and
-    /// CLI flags. Round-trips through [`EngineKind::from_slug`].
+    /// Stable machine token (`scalar` / `batched`) for persistence.
+    /// Round-trips through [`EngineKind::from_slug`].
     pub fn slug(&self) -> &'static str {
         match self {
             EngineKind::Scalar => "scalar",
@@ -100,10 +94,6 @@ pub struct SimOptions {
     /// How the PV operating point is evaluated on the hot path (exact
     /// Newton, or the pretabulated interpolation surface).
     pub supply_model: SupplyModel,
-    /// Which campaign execution path runs this cell. A single
-    /// [`Simulation::run`] is unaffected — the knob decides whether
-    /// campaigns group this cell into lane batches.
-    pub engine: EngineKind,
     /// Die thermal model (throttle ceiling + boost). `Off` — the
     /// default — tracks no temperature and is bitwise-identical to the
     /// pre-thermal engine.
@@ -130,7 +120,6 @@ impl SimOptions {
             stop_on_brownout: true,
             idle_enabled: true,
             supply_model: SupplyModel::Exact,
-            engine: EngineKind::default(),
             thermal: ThermalSpec::Off,
             arrival: ArrivalSpec::Saturated,
             arrival_seed: 0,
@@ -159,12 +148,6 @@ impl SimOptions {
     /// Sets the supply evaluation model (builder style).
     pub fn with_supply_model(mut self, model: SupplyModel) -> Self {
         self.supply_model = model;
-        self
-    }
-
-    /// Selects the campaign execution path (builder style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -200,9 +183,6 @@ impl SimOptions {
         if let Some(model) = overrides.supply_model {
             self.supply_model = model;
         }
-        if let Some(engine) = overrides.engine {
-            self.engine = engine;
-        }
         if let Some(idle) = overrides.idle {
             self.idle_enabled = idle;
         }
@@ -222,7 +202,8 @@ pub struct SimOverrides {
     pub max_step: Option<Seconds>,
     /// Override of [`SimOptions::supply_model`].
     pub supply_model: Option<SupplyModel>,
-    /// Override of [`SimOptions::engine`].
+    /// Campaign engine token: recorded, not acted on; removed with the
+    /// wire-format collapse.
     pub engine: Option<EngineKind>,
     /// Override of [`SimOptions::idle_enabled`].
     pub idle: Option<bool>,
@@ -257,7 +238,8 @@ impl SimOverrides {
         self
     }
 
-    /// Selects the campaign execution path (builder style).
+    /// Sets the recorded engine token (builder style); it selects
+    /// nothing.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -410,6 +392,33 @@ struct AdvanceOutcome {
     t: f64,
     vc: f64,
     event: Option<CrossKind>,
+    /// The accepted RK23 step's end derivative when the advance ran to
+    /// the step's end point `(t, vc)` — the next step's `f0` if nothing
+    /// changes in between.
+    f1: Option<f64>,
+}
+
+/// The last accepted RK23 step's end point, the load it was integrated
+/// under and the derivative there. Bogacki–Shampine evaluates that
+/// derivative as its last stage, so the next step may start from it
+/// instead of evaluating it again — valid exactly while `t`, `vc` and
+/// the load power are bitwise unchanged, which is what
+/// [`Fsal::derivative_at`] checks.
+#[derive(Debug, Clone, Copy)]
+struct Fsal {
+    t: f64,
+    vc: f64,
+    p_load: f64,
+    f1: f64,
+}
+
+impl Fsal {
+    /// The stored derivative if `(t, vc, p_load)` is bitwise the point
+    /// and load it was evaluated at.
+    fn derivative_at(self, t: f64, vc: f64, p_load: f64) -> Option<f64> {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        (same(self.t, t) && same(self.vc, vc) && same(self.p_load, p_load)).then_some(self.f1)
+    }
 }
 
 impl Simulation {
@@ -447,19 +456,17 @@ impl Simulation {
     /// mis-assembled scenario, not a brownout (brownouts are reported
     /// in the [`SimReport`]).
     pub fn run(self) -> Result<SimReport, SimError> {
-        let mut lane = self.start()?;
-        while !lane.done() {
-            lane.step()?;
+        let mut state = self.start()?;
+        while !state.done() {
+            state.step()?;
         }
-        lane.finish()
+        state.finish()
     }
 
     /// Performs the one-time setup (governor start-up, initial
-    /// snapshot) and hands back the resumable per-simulation state
-    /// machine. `run()` is `start` + `step` to completion + `finish`;
-    /// the batched lane engine interleaves `step` calls across many
-    /// lanes instead.
-    pub(crate) fn start(mut self) -> Result<Lane, SimError> {
+    /// snapshot) and hands back the loop state: `run()` is `start` +
+    /// `step` to completion + `finish`.
+    fn start(mut self) -> Result<RunState, SimError> {
         let opts = self.options;
         let vmin = self.platform.voltage_window().min.value();
         let uses_irq = self.governor.uses_threshold_interrupts();
@@ -511,7 +518,7 @@ impl Simulation {
         let arrival = ArrivalTimeline::build(opts.arrival, opts.arrival_seed, t_start, t_end);
         let arrival_duty = arrival.duty_at(t_start);
 
-        let mut lane = Lane {
+        let mut state = RunState {
             supply: self.supply,
             buffer: self.buffer,
             monitor: self.monitor,
@@ -528,6 +535,7 @@ impl Simulation {
             solver,
             t,
             vc,
+            fsal: None,
             next_tick,
             recheck_at: None,
             next_record: t + opts.record_dt.value(),
@@ -537,21 +545,16 @@ impl Simulation {
         };
         // A stress boost can engage at cold start; the scales must be
         // in force before the first snapshot and the first advance.
-        lane.refresh_scales();
-        lane.snapshot()?;
-        Ok(lane)
+        state.refresh_scales();
+        state.snapshot()?;
+        Ok(state)
     }
 }
 
-/// One in-flight simulation, paused between loop iterations.
-///
-/// A `Lane` owns every variable of the classic simulation loop —
-/// runtime, recorder, solver, supply state, event bookkeeping — so a
-/// scheduler can interleave `step()` calls across many lanes. Lanes
-/// share no mutable state, so *any* interleaving produces exactly the
-/// floating-point sequence (and therefore the bitwise-identical
-/// [`SimReport`]) of running each lane to completion alone.
-pub(crate) struct Lane {
+/// One in-flight simulation between loop iterations: every variable of
+/// the hybrid loop — runtime, recorder, solver, supply state, event
+/// bookkeeping.
+struct RunState {
     supply: Supply,
     buffer: Supercapacitor,
     monitor: VoltageMonitor,
@@ -568,6 +571,8 @@ pub(crate) struct Lane {
     solver: Rk23,
     t: f64,
     vc: f64,
+    /// First-same-as-last derivative from the previous accepted step.
+    fsal: Option<Fsal>,
     next_tick: Option<f64>,
     recheck_at: Option<f64>,
     next_record: f64,
@@ -581,10 +586,10 @@ pub(crate) struct Lane {
     arrival_duty: f64,
 }
 
-impl Lane {
-    /// `true` once the lane has reached its window end (or browned out
+impl RunState {
+    /// `true` once the run has reached its window end (or browned out
     /// under `stop_on_brownout`); `step` must not be called again.
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.t >= self.t_end - 1e-12
             || (!self.runtime.is_alive() && self.opts.stop_on_brownout)
     }
@@ -593,7 +598,7 @@ impl Lane {
     /// discrete boundary (stopping early at threshold/brownout
     /// crossings, which resolve inline through the governor), then
     /// handle whichever discrete boundaries were reached.
-    pub(crate) fn step(&mut self) -> Result<(), SimError> {
+    fn step(&mut self) -> Result<(), SimError> {
         // Load power at the top of the step: it is constant until the
         // next discontinuity, so it both drives the ODE and determines
         // when the thermal state next crosses a threshold.
@@ -651,11 +656,13 @@ impl Lane {
                 buffer: &self.buffer,
                 solver: &mut self.solver,
                 p_load,
+                f0: self.fsal.take().and_then(|k| k.derivative_at(self.t, self.vc, p_load)),
                 vmin: alive.then_some(self.vmin),
                 high,
                 low,
             };
             let outcome = ctx.advance(self.t, self.vc, boundary)?;
+            self.fsal = outcome.f1.map(|f1| Fsal { t: outcome.t, vc: outcome.vc, p_load, f1 });
             let dt = outcome.t - self.t;
             self.runtime.accrue(
                 Seconds::new(dt),
@@ -828,7 +835,7 @@ impl Lane {
     }
 
     /// Forces an immediate down-shift when the throttle ceiling lands
-    /// below the running OPP. A lane mid-transition or parked in idle
+    /// below the running OPP. A run mid-transition or parked in idle
     /// keeps its state — the cap still gates every later request via
     /// `clamp_level`, which is how real DVFS throttling behaves (the
     /// ceiling applies at the next opportunity, not retroactively).
@@ -857,7 +864,7 @@ impl Lane {
     }
 
     /// Takes the final snapshot and assembles the report.
-    pub(crate) fn finish(mut self) -> Result<SimReport, SimError> {
+    fn finish(mut self) -> Result<SimReport, SimError> {
         // Final snapshot at the stop time.
         self.snapshot()?;
         Ok(SimReport {
@@ -877,7 +884,7 @@ impl Lane {
         })
     }
 
-    /// Records the lane's current state into its trace.
+    /// Records the run's current state into its trace.
     fn snapshot(&mut self) -> Result<(), SimError> {
         let opp = self.runtime.effective_opp();
         let freq = self
@@ -993,11 +1000,9 @@ fn apply_action(
     Ok(changed)
 }
 
-/// The continuous-phase context of one lane: the integration resources
-/// (supply, fast-path state, buffer, solver) plus the load power and
-/// the armed threshold set. Shared by the scalar and batched paths —
-/// each `Lane::step` assembles one from its own fields, so batching
-/// cannot change what an advance sees.
+/// The continuous-phase context of one step: the integration resources
+/// (supply, fast-path state, buffer, solver) plus the load power, the
+/// reusable start derivative and the armed threshold set.
 struct AdvanceCtx<'a> {
     supply: &'a Supply,
     supply_state: &'a mut SupplyState,
@@ -1005,6 +1010,9 @@ struct AdvanceCtx<'a> {
     solver: &'a mut Rk23,
     /// Total load power drawn from the buffer node, watts.
     p_load: f64,
+    /// The derivative at the advance's start point, when the previous
+    /// step already evaluated it under the same load.
+    f0: Option<f64>,
     /// Brown-out level — armed while the runtime is alive.
     vmin: Option<f64>,
     /// Rising threshold — armed when interrupts are live.
@@ -1018,7 +1026,7 @@ impl AdvanceCtx<'_> {
     /// stopping at the earliest crossing (brownout, Vhigh rising, Vlow
     /// falling).
     fn advance(self, t: f64, vc: f64, boundary: f64) -> Result<AdvanceOutcome, SimError> {
-        let AdvanceCtx { supply, supply_state, buffer, solver, p_load, vmin, high, low } = self;
+        let AdvanceCtx { supply, supply_state, buffer, solver, p_load, f0, vmin, high, low } = self;
         match supply {
             Supply::Controlled { waveform } => {
                 let f = |tt: f64| waveform.sample(Seconds::new(tt)).value();
@@ -1026,9 +1034,11 @@ impl AdvanceCtx<'_> {
                 let found = scan_crossings(&f, t, boundary, subdivisions, vmin, high, low)?;
                 match found {
                     Some((tc, kind)) => {
-                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind) })
+                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind), f1: None })
                     }
-                    None => Ok(AdvanceOutcome { t: boundary, vc: f(boundary), event: None }),
+                    None => {
+                        Ok(AdvanceOutcome { t: boundary, vc: f(boundary), event: None, f1: None })
+                    }
                 }
             }
             Supply::Photovoltaic { .. } => {
@@ -1048,7 +1058,10 @@ impl AdvanceCtx<'_> {
                     let i_out = pn_units::Amps::new(p_load / v.max(0.3));
                     [buffer.dv_dt(Volts::new(v), i_in, i_out)]
                 };
-                let step = solver.step(&mut deriv, t, &[vc], boundary)?;
+                let step = match f0 {
+                    Some(f0) => solver.step_from(&mut deriv, t, &[vc], [f0], boundary)?,
+                    None => solver.step(&mut deriv, t, &[vc], boundary)?,
+                };
                 if let Some(e) = solve_error {
                     return Err(e);
                 }
@@ -1079,9 +1092,14 @@ impl AdvanceCtx<'_> {
                 )?;
                 match found {
                     Some((tc, kind)) => {
-                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind) })
+                        Ok(AdvanceOutcome { t: tc, vc: f(tc), event: Some(kind), f1: None })
                     }
-                    None => Ok(AdvanceOutcome { t: step.t1, vc: step.y1[0], event: None }),
+                    None => Ok(AdvanceOutcome {
+                        t: step.t1,
+                        vc: step.y1[0],
+                        event: None,
+                        f1: Some(step.f1[0]),
+                    }),
                 }
             }
         }
@@ -1378,60 +1396,9 @@ mod tests {
             assert!(!kind.slug().contains([' ', ',']), "slug {:?} not CSV-safe", kind.slug());
         }
         assert_eq!(EngineKind::from_slug("vector"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Batched);
         // Pinned spellings: persisted specs depend on them.
         assert_eq!(EngineKind::Scalar.slug(), "scalar");
         assert_eq!(EngineKind::Batched.slug(), "batched");
-    }
-
-    #[test]
-    fn engine_override_applies_sparsely() {
-        let base = SimOptions::new(Seconds::new(10.0));
-        assert_eq!(base.engine, EngineKind::Batched);
-        let merged = base.with_overrides(&SimOverrides::none().with_engine(EngineKind::Scalar));
-        assert_eq!(merged.engine, EngineKind::Scalar);
-        assert_eq!(base.with_overrides(&SimOverrides::none()).engine, EngineKind::Batched);
-        assert!(!SimOverrides::none().with_engine(EngineKind::Scalar).is_none());
-    }
-
-    #[test]
-    fn stepped_lane_matches_run_bitwise() {
-        let make = || build(pn_governor(), pv_supply(560.0, 15.0), 15.0, Opp::lowest());
-        let whole = make().run().unwrap();
-        let mut lane = make().start().unwrap();
-        while !lane.done() {
-            lane.step().unwrap();
-        }
-        assert_eq!(whole, lane.finish().unwrap());
-    }
-
-    #[test]
-    fn interleaved_lanes_match_solo_runs_bitwise() {
-        // Two different lanes stepped in strict alternation must each
-        // reproduce their solo run exactly: lanes share no state.
-        let a = || build(pn_governor(), pv_supply(560.0, 10.0), 10.0, Opp::lowest());
-        let b = || {
-            build(
-                Box::new(Powersave::new()),
-                pv_supply(420.0, 10.0),
-                10.0,
-                Opp::new(pn_soc::cores::CoreConfig::MAX, 0),
-            )
-        };
-        let solo_a = a().run().unwrap();
-        let solo_b = b().run().unwrap();
-        let mut lane_a = a().start().unwrap();
-        let mut lane_b = b().start().unwrap();
-        while !lane_a.done() || !lane_b.done() {
-            if !lane_a.done() {
-                lane_a.step().unwrap();
-            }
-            if !lane_b.done() {
-                lane_b.step().unwrap();
-            }
-        }
-        assert_eq!(solo_a, lane_a.finish().unwrap());
-        assert_eq!(solo_b, lane_b.finish().unwrap());
     }
 
     #[test]
@@ -1529,28 +1496,56 @@ mod tests {
         assert_ne!(bursty, other.run().unwrap());
     }
 
-    #[test]
-    fn stepped_thermal_lane_matches_run_bitwise() {
-        let make = || {
-            let mut sim = build(
-                pn_governor(),
-                pv_supply(700.0, 60.0),
-                60.0,
-                Opp::new(pn_soc::cores::CoreConfig::MAX, 7),
-            );
-            sim.options = sim
-                .options
-                .with_thermal(ThermalSpec::stress())
-                .with_arrival(ArrivalSpec::bursty_stress(), 5);
-            sim.options.stop_on_brownout = false;
-            sim
-        };
-        let whole = make().run().unwrap();
-        let mut lane = make().start().unwrap();
-        while !lane.done() {
-            lane.step().unwrap();
+    /// Runs `sim` with first-same-as-last reuse disabled: the stored
+    /// derivative is dropped before every step, so each step evaluates
+    /// its start derivative afresh. Also returns how many steps were
+    /// offered a derivative stored at their exact start point.
+    fn run_without_derivative_reuse(sim: Simulation) -> (SimReport, usize) {
+        let mut state = sim.start().unwrap();
+        let mut offered = 0;
+        while !state.done() {
+            if state.fsal.take().is_some_and(|k| k.t == state.t && k.vc == state.vc) {
+                offered += 1;
+            }
+            state.step().unwrap();
         }
-        assert_eq!(whole, lane.finish().unwrap());
+        (state.finish().unwrap(), offered)
+    }
+
+    #[test]
+    fn derivative_reuse_replays_bitwise() {
+        // A partly cloudy power-neutral run changes OPP many times, so
+        // the load power moves mid-run; the stress axes add thermal
+        // throttling and arrival edges on top. Under both supply models
+        // reusing the derivative must not move a single bit.
+        use crate::scenario::weather_day;
+        use pn_harvest::weather::Weather;
+        for (model, stress) in [
+            (SupplyModel::Exact, false),
+            (SupplyModel::interpolated(), false),
+            (SupplyModel::Exact, true),
+        ] {
+            let make = || {
+                let mut sim = weather_day(Weather::PartialSun, 3)
+                    .with_duration(Seconds::new(120.0))
+                    .with_supply_model(model)
+                    .build_power_neutral()
+                    .unwrap();
+                if stress {
+                    sim.options = sim
+                        .options
+                        .with_thermal(ThermalSpec::stress())
+                        .with_arrival(ArrivalSpec::bursty_stress(), 5);
+                }
+                sim
+            };
+            let reused = make().run().unwrap();
+            let (fresh, offered) = run_without_derivative_reuse(make());
+            let transitions = reused.transitions();
+            assert!(transitions >= 20, "{model}: only {transitions} transitions");
+            assert!(offered >= 1000, "{model}: reuse offered on {offered} steps only");
+            assert_eq!(reused, fresh, "{model} (stress: {stress}) diverged");
+        }
     }
 
     #[test]

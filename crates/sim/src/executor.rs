@@ -10,7 +10,8 @@
 //! half of the fullest remaining range. Simulation cells vary wildly in
 //! cost (a brownout ends a run within milliseconds of simulated time;
 //! a survivor integrates the full window), so static splitting alone
-//! would leave workers idle.
+//! would leave workers idle — and campaigns submit one item per cell,
+//! not per group of cells, so stealing balances at the finest grain.
 //!
 //! Results are returned in item order regardless of which worker ran
 //! which item, so a batch is bitwise-deterministic across thread

@@ -1,66 +1,21 @@
-//! Batched structure-of-arrays lane engine.
+//! Runs a group of assembled simulations in submission order.
 //!
-//! A campaign evaluates many cells that differ only in governor,
-//! buffer size, control parameters or stress axes (thermal envelope,
-//! workload arrival, harvester faults) while sharing one irradiance
-//! trace. Running those cells one after another re-walks the same
-//! trace once per cell with cold caches; running them *batched* steps
-//! every in-flight simulation once per sweep, so one pass over the
-//! shared trace segment feeds all lanes while it is hot.
-//!
-//! The batch is structure-of-arrays at the scheduling level: the
-//! per-lane loop variables live inside each [`Lane`], while the
-//! scheduler keeps parallel arrays of lane state (`lanes`, `reports`)
-//! indexed by the original submission order. Each sweep advances every
-//! live lane exactly one loop iteration, in submission order.
-//!
-//! # Bitwise equivalence
-//!
-//! [`run_batch`] is *bitwise* equivalent to calling
-//! [`Simulation::run`] on each element: lanes share no mutable state,
-//! so interleaving their `step()` calls cannot perturb any lane's
-//! floating-point sequence. The scalar engine therefore remains the
-//! oracle for the batched one — see
-//! `tests/campaign_batched.rs` for the property tests pinning this.
+//! Campaigns dispatch one executor item per cell and do not use this;
+//! it serves callers that already hold a group of simulations.
 
 use crate::engine::{SimReport, Simulation};
 use crate::error::SimError;
 
-/// Runs a group of simulations to completion by interleaving their
-/// loop iterations, returning reports in submission order.
-///
-/// Each sweep steps every unfinished lane once; a lane that reaches
-/// its end condition is finished (final snapshot + report) as soon as
-/// it is observed done, keeping its recorder from idling in memory for
-/// the rest of the batch. The result is bitwise identical to running
-/// every simulation alone.
+/// Runs every simulation to completion, one after another, returning
+/// the reports in submission order — exactly what calling
+/// [`Simulation::run`] on each would return.
 ///
 /// # Errors
 ///
-/// Propagates the first solver or monitor failure encountered, like
-/// [`Simulation::run`]. Lanes after the failing one are abandoned
-/// mid-flight; a batch is all-or-nothing.
+/// Propagates the first solver or monitor failure; simulations after
+/// the failing one are not run.
 pub fn run_batch(sims: Vec<Simulation>) -> Result<Vec<SimReport>, SimError> {
-    let n = sims.len();
-    let mut lanes = Vec::with_capacity(n);
-    for sim in sims {
-        lanes.push(Some(sim.start()?));
-    }
-    let mut reports: Vec<Option<SimReport>> = (0..n).map(|_| None).collect();
-    let mut live = n;
-    while live > 0 {
-        for (lane, report) in lanes.iter_mut().zip(reports.iter_mut()) {
-            let Some(active) = lane.as_mut() else { continue };
-            if active.done() {
-                let finished = lane.take().expect("lane present");
-                *report = Some(finished.finish()?);
-                live -= 1;
-            } else {
-                active.step()?;
-            }
-        }
-    }
-    Ok(reports.into_iter().map(|r| r.expect("every lane finished")).collect())
+    sims.into_iter().map(Simulation::run).collect()
 }
 
 #[cfg(test)]
@@ -81,38 +36,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_matches_solo_run_bitwise() {
-        let solo = sim(Weather::Cloudy, 3, false, 5.0).run().unwrap();
-        let batched = run_batch(vec![sim(Weather::Cloudy, 3, false, 5.0)]).unwrap();
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0], solo);
-    }
-
-    #[test]
-    fn mixed_batch_matches_solo_runs_bitwise_in_order() {
+    fn batch_matches_solo_runs_in_order() {
         let specs = [
-            (Weather::FullSun, 1, false),
-            (Weather::FullSun, 1, true),
-            (Weather::Cloudy, 2, false),
-            (Weather::PartialSun, 7, true),
+            (Weather::FullSun, 1, false, 4.0),
+            (Weather::FullSun, 1, true, 2.0),
+            (Weather::Cloudy, 2, false, 4.0),
+            (Weather::PartialSun, 7, true, 3.0),
         ];
         let solos: Vec<_> =
-            specs.iter().map(|&(w, s, p)| sim(w, s, p, 4.0).run().unwrap()).collect();
+            specs.iter().map(|&(w, s, p, d)| sim(w, s, p, d).run().unwrap()).collect();
         let batched =
-            run_batch(specs.iter().map(|&(w, s, p)| sim(w, s, p, 4.0)).collect()).unwrap();
-        assert_eq!(batched, solos, "batched reports must be bitwise the solo ones");
-    }
-
-    #[test]
-    fn lanes_of_different_lengths_finish_independently() {
-        // A short lane finishes mid-batch while a long one keeps
-        // stepping; order in the output stays submission order.
-        let long = sim(Weather::FullSun, 1, true, 8.0);
-        let short = sim(Weather::FullSun, 1, true, 2.0);
-        let solo_long = sim(Weather::FullSun, 1, true, 8.0).run().unwrap();
-        let solo_short = sim(Weather::FullSun, 1, true, 2.0).run().unwrap();
-        let batched = run_batch(vec![long, short]).unwrap();
-        assert_eq!(batched[0], solo_long);
-        assert_eq!(batched[1], solo_short);
+            run_batch(specs.iter().map(|&(w, s, p, d)| sim(w, s, p, d)).collect()).unwrap();
+        assert_eq!(batched, solos);
     }
 }

@@ -19,9 +19,7 @@
 //! * [`engine`] — the hybrid continuous/discrete simulation loop
 //!   (adaptive RK23 between events, bisection event location, interrupt
 //!   masking during transitions),
-//! * [`lanes`] — the batched structure-of-arrays lane engine: step a
-//!   whole group of simulations per sweep, bitwise identical to
-//!   running each alone,
+//! * [`lanes`] — run a group of assembled simulations in order,
 //! * [`chaos`] — the deterministic fault plane: a seeded `FaultPlan`
 //!   injecting I/O and network faults behind the `IoPolicy` seam, so
 //!   the persistence and daemon layers are testable under chaos,

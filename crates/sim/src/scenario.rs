@@ -119,7 +119,7 @@ impl Scenario {
     }
 
     /// Assembles (without running) the [`Scenario::run_power_neutral`]
-    /// simulation, for batched execution.
+    /// simulation, for deferred execution.
     ///
     /// # Errors
     ///
@@ -141,7 +141,7 @@ impl Scenario {
     }
 
     /// Assembles (without running) the [`Scenario::run_governor`]
-    /// simulation, for batched execution.
+    /// simulation, for deferred execution.
     ///
     /// # Errors
     ///
@@ -175,7 +175,7 @@ impl Scenario {
     }
 
     /// Assembles (without running) the [`Scenario::run_static`]
-    /// simulation, for batched execution.
+    /// simulation, for deferred execution.
     ///
     /// # Errors
     ///
@@ -204,7 +204,7 @@ impl Scenario {
     }
 
     /// Assembles (without running) the [`Scenario::run_powersave`]
-    /// simulation, for batched execution.
+    /// simulation, for deferred execution.
     ///
     /// # Errors
     ///

@@ -7,7 +7,8 @@
 //! per-cluster race-to-idle — instead reason about *per-domain*
 //! operating points competing for one shared power budget. This module
 //! names the domains, enumerates their per-domain OPP ladders, and
-//! provides the shared-budget allocator those policies plan with.
+//! provides the shared-budget allocator those policies plan with,
+//! precomputed per model set as an [`AllocationLadder`].
 
 use crate::cores::{CoreConfig, CoreType, CORES_PER_CLUSTER};
 use crate::freq::FrequencyTable;
@@ -15,7 +16,7 @@ use crate::opp::Opp;
 use crate::perf::PerfModel;
 use crate::power::PowerModel;
 use crate::SocError;
-use pn_units::Watts;
+use pn_units::{Hertz, Watts};
 use std::fmt;
 
 /// A named voltage/frequency domain of the SoC.
@@ -169,8 +170,7 @@ impl PowerBudget {
         power: &PowerModel,
         table: &FrequencyTable,
     ) -> Result<[Watts; 2], SocError> {
-        let f = table.frequency(opp.level())?;
-        Ok(Domain::ALL.map(|d| power.domain_power(d, d.cores_in(opp.config()), f)))
+        Ok(domain_split(opp.config(), table.frequency(opp.level())?, power))
     }
 
     /// Finds the throughput-maximal combined OPP whose board power fits
@@ -180,24 +180,167 @@ impl PowerBudget {
     /// per-domain split, or `None` when even the floor point
     /// (`Opp::lowest`) exceeds the budget.
     ///
-    /// Deterministic: ties in throughput resolve to the lower-power
-    /// candidate, then to the enumeration order (LITTLE capacity grows
-    /// before big capacity, level grows last).
+    /// Builds the [`AllocationLadder`] for the models and queries it;
+    /// callers planning many budgets against one model set should
+    /// build the ladder once and call [`AllocationLadder::allocate`].
     pub fn allocate(
         &self,
         power: &PowerModel,
         perf: &PerfModel,
         table: &FrequencyTable,
     ) -> Option<(Opp, [Watts; 2])> {
+        AllocationLadder::new(power, perf, table).allocate(self)
+    }
+}
+
+/// Per-domain power of `config` at `f`, LITTLE first (base excluded).
+fn domain_split(config: CoreConfig, f: Hertz, power: &PowerModel) -> [Watts; 2] {
+    Domain::ALL.map(|d| power.domain_power(d, d.cores_in(config), f))
+}
+
+/// One rung of an [`AllocationLadder`]: the allocation every budget
+/// from `threshold` watts up to the next rung's threshold receives.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rung {
+    threshold: f64,
+    opp: Opp,
+    split: [Watts; 2],
+}
+
+/// The shared-budget allocator's answer for every budget, precomputed
+/// once per (power, perf, frequency-table) model set.
+///
+/// The allocator's rule: among the combined OPPs of the full
+/// per-domain core grid whose board power fits the budget, pick the
+/// highest throughput; ties resolve to the lower-power candidate, then
+/// to the enumeration order (LITTLE capacity grows before big
+/// capacity, level grows last). Within one core configuration the scan
+/// admits levels bottom-up and stops at the first that does not fit,
+/// so a candidate is admitted exactly when the budget covers the
+/// running maximum of its configuration's board power up to its
+/// level — its *threshold*.
+///
+/// The ladder sorts the candidates by threshold and keeps a rung
+/// wherever the running best changes, so [`AllocationLadder::allocate`]
+/// is a binary search: the answer for a budget is the last rung whose
+/// threshold it covers.
+///
+/// # Examples
+///
+/// ```
+/// use pn_soc::domain::{AllocationLadder, PowerBudget};
+/// use pn_soc::{freq::FrequencyTable, perf::PerfModel, power::PowerModel};
+/// use pn_units::Watts;
+///
+/// let ladder = AllocationLadder::new(
+///     &PowerModel::odroid_xu4(),
+///     &PerfModel::odroid_xu4(),
+///     &FrequencyTable::paper_levels(),
+/// );
+/// let budget = PowerBudget::new(Watts::new(4.0)).unwrap();
+/// let (_, split) = ladder.allocate(&budget).expect("4 W fits the floor point");
+/// assert!(split[0] + split[1] < budget.total());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct AllocationLadder {
+    /// Rungs in ascending threshold order; at most one per candidate.
+    rungs: Vec<Rung>,
+}
+
+impl AllocationLadder {
+    /// Enumerates, ranks and compresses every candidate allocation of
+    /// the model set.
+    pub fn new(power: &PowerModel, perf: &PerfModel, table: &FrequencyTable) -> Self {
+        struct Candidate {
+            threshold: f64,
+            watts: f64,
+            ips: f64,
+            opp: Opp,
+            f: Hertz,
+        }
+        let mut candidates = Vec::new();
+        for big in Domain::Big.min_cores()..=Domain::Big.max_cores() {
+            for little in Domain::Little.min_cores()..=Domain::Little.max_cores() {
+                let Ok(config) = CoreConfig::new(little, big) else { continue };
+                let mut threshold = f64::NEG_INFINITY;
+                for (level, f) in table.iter() {
+                    let watts = power.board_power(config, f).value();
+                    threshold = threshold.max(watts);
+                    candidates.push(Candidate {
+                        threshold,
+                        watts,
+                        ips: perf.instructions_per_second(config, f),
+                        opp: Opp::new(config, level),
+                        f,
+                    });
+                }
+            }
+        }
+        // The vector index is the enumeration order; the stable sort
+        // keeps it ascending among equal thresholds, but the ranking
+        // below compares it explicitly so the ladder never depends on
+        // the order candidates are admitted in.
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by(|&a, &b| candidates[a].threshold.total_cmp(&candidates[b].threshold));
+        let mut rungs = Vec::new();
+        let mut best: Option<usize> = None;
+        for i in order {
+            let c = &candidates[i];
+            let better = match best {
+                None => true,
+                Some(b) => {
+                    let held = &candidates[b];
+                    c.ips > held.ips
+                        || (c.ips == held.ips
+                            && (c.watts < held.watts || (c.watts == held.watts && i < b)))
+                }
+            };
+            if better {
+                best = Some(i);
+                rungs.push(Rung {
+                    threshold: c.threshold,
+                    opp: c.opp,
+                    split: domain_split(c.opp.config(), c.f, power),
+                });
+            }
+        }
+        Self { rungs }
+    }
+
+    /// The throughput-maximal allocation fitting `budget` and its
+    /// per-domain split, or `None` when even the floor point exceeds
+    /// it (see [`AllocationLadder`] for the selection rule).
+    pub fn allocate(&self, budget: &PowerBudget) -> Option<(Opp, [Watts; 2])> {
+        let total = budget.total().value();
+        let admitted = self.rungs.partition_point(|rung| rung.threshold <= total);
+        let rung = &self.rungs[admitted.checked_sub(1)?];
+        Some((rung.opp, rung.split))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn models() -> (PowerModel, PerfModel, FrequencyTable) {
+        (PowerModel::odroid_xu4(), PerfModel::odroid_xu4(), FrequencyTable::paper_levels())
+    }
+
+    /// The allocator as a direct scan of the core grid — the oracle the
+    /// ladder is checked against. Levels are admitted bottom-up per
+    /// configuration until one does not fit; the running best keeps
+    /// the first candidate of the highest throughput at the lowest
+    /// power.
+    fn brute_force(total: f64) -> Option<(Opp, [Watts; 2])> {
+        let (power, perf, table) = models();
         let mut best: Option<(Opp, f64, f64)> = None; // (opp, ips, watts)
         for big in Domain::Big.min_cores()..=Domain::Big.max_cores() {
             for little in Domain::Little.min_cores()..=Domain::Little.max_cores() {
                 let Ok(config) = CoreConfig::new(little, big) else { continue };
                 for (level, f) in table.iter() {
                     let p = power.board_power(config, f).value();
-                    if p > self.total.value() {
-                        // Power is monotone in level: higher levels of
-                        // this config cannot fit either.
+                    if p > total {
                         break;
                     }
                     let ips = perf.instructions_per_second(config, f);
@@ -213,21 +356,50 @@ impl PowerBudget {
                 }
             }
         }
-        best.map(|(opp, _, _)| {
-            let split = self
-                .split(opp, power, table)
-                .expect("allocated level exists in the table");
-            (opp, split)
-        })
+        let budget = PowerBudget::new(Watts::new(total)).unwrap();
+        best.map(|(opp, _, _)| (opp, budget.split(opp, &power, &table).unwrap()))
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn ladder() -> AllocationLadder {
+        let (power, perf, table) = models();
+        AllocationLadder::new(&power, &perf, &table)
+    }
 
-    fn models() -> (PowerModel, PerfModel, FrequencyTable) {
-        (PowerModel::odroid_xu4(), PerfModel::odroid_xu4(), FrequencyTable::paper_levels())
+    fn query(ladder: &AllocationLadder, total: f64) -> Option<(Opp, [Watts; 2])> {
+        ladder.allocate(&PowerBudget::new(Watts::new(total)).unwrap())
+    }
+
+    #[test]
+    fn ladder_matches_the_scan_at_every_candidate_power() {
+        // Rung edges are where an off-by-one would show: every
+        // candidate's exact board power, one ulp either side, zero,
+        // and budgets past the hungriest point.
+        let (power, _, table) = models();
+        let ladder = ladder();
+        let mut budgets = vec![0.0, 1e3, f64::MAX];
+        for little in 1..=4 {
+            for big in 0..=4 {
+                let config = CoreConfig::new(little, big).unwrap();
+                for (_, f) in table.iter() {
+                    let p = power.board_power(config, f).value();
+                    let (below, above) = (p.to_bits() - 1, p.to_bits() + 1);
+                    budgets.extend([p, f64::from_bits(below), f64::from_bits(above)]);
+                }
+            }
+        }
+        for total in budgets {
+            assert_eq!(query(&ladder, total), brute_force(total), "budget {total} W");
+        }
+        let top = Opp::new(CoreConfig::MAX, table.len() - 1);
+        assert_eq!(query(&ladder, 1e3).map(|(opp, _)| opp), Some(top));
+        assert_eq!(query(&ladder, 0.0), None);
+    }
+
+    proptest! {
+        #[test]
+        fn ladder_matches_the_scan_for_random_budgets(total in 0.0f64..12.0) {
+            prop_assert_eq!(query(&ladder(), total), brute_force(total));
+        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Batched lane engine ≡ scalar oracle.
+//! Campaign dispatch determinism.
 //!
-//! The batched engine interleaves whole campaign groups per loop
-//! iteration, so every claim it makes rests on one property: outcomes
-//! are *bitwise* those of the scalar one-cell-at-a-time path. These
-//! suites pin that property across the governor, weather, seed and
-//! supply-model axes, plus the executor-facing consequences (thread
-//! invariance of group dispatch, byte-identical CSV exports).
+//! A campaign's report must not depend on how its cells are spread
+//! over workers or machines: one worker, four work-stealing workers,
+//! and four shards merged back together must all produce the same
+//! bytes. These suites pin that across the governor, weather, seed and
+//! supply-model axes and the adversarial stress palette, and check
+//! that the engine token old specs still carry changes nothing.
 
 use power_neutral::harvest::faults::FaultSpec;
 use power_neutral::harvest::weather::Weather;
-use power_neutral::sim::campaign::{
-    run_campaign, CampaignSpec, CellOutcome, GovernorSpec,
-};
-use power_neutral::sim::engine::EngineKind;
+use power_neutral::sim::campaign::{run_campaign, CampaignReport, CampaignSpec, GovernorSpec};
+use power_neutral::sim::engine::{EngineKind, SimOverrides};
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
 use power_neutral::sim::supply::SupplyModel;
@@ -38,33 +36,31 @@ fn governors() -> Vec<GovernorSpec> {
     ]
 }
 
-/// Outcomes with the engine override blanked out — the knob is the
-/// one *intended* difference between a scalar and a batched run, so
-/// equality is asserted over everything else.
-fn normalized(cells: &[CellOutcome]) -> Vec<CellOutcome> {
-    cells
+/// The wire document of `spec` run on one worker, after asserting
+/// that four work-stealing workers and a four-shard merge reproduce it
+/// byte for byte.
+fn dispatch_invariant_report(spec: &CampaignSpec) -> String {
+    let sequential = run_campaign(spec, &Executor::sequential()).expect("campaign runs");
+    let doc = persist::report_to_string(&sequential);
+    let wide = run_campaign(spec, &Executor::new(4)).expect("campaign runs");
+    assert_eq!(persist::report_to_string(&wide), doc, "4-thread run diverged");
+    let shards = spec
+        .shard(4)
         .iter()
-        .map(|o| {
-            let mut o = *o;
-            o.cell.options.engine = None;
-            o
-        })
-        .collect()
-}
-
-fn run_with(spec: &CampaignSpec, engine: EngineKind) -> Vec<CellOutcome> {
-    let report = run_campaign(&spec.clone().with_engine(engine), &Executor::sequential())
-        .expect("campaign runs");
-    normalized(report.cells())
+        .map(|shard| shard.run(&Executor::sequential()))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("shards run");
+    let merged = CampaignReport::merge(shards).expect("shards merge");
+    assert_eq!(persist::report_to_string(&merged), doc, "4-shard merge diverged");
+    doc
 }
 
 proptest! {
-    /// The core oracle property, sampled across every axis: one
-    /// sampled governor paired with powersave (so the lane group is a
-    /// real multi-lane batch), a sampled weather and seed, both
+    /// Dispatch invariance sampled across every axis: one sampled
+    /// governor paired with powersave, a sampled weather and seed, both
     /// supply models.
     #[test]
-    fn batched_outcomes_are_bitwise_scalar_ones(
+    fn sampled_outcomes_are_bitwise_across_threads_and_shards(
         g in 0usize..10,
         w in 0usize..6,
         seed in 1u64..5,
@@ -79,7 +75,7 @@ proptest! {
         if interp {
             spec = spec.with_supply_model(SupplyModel::interpolated());
         }
-        prop_assert_eq!(run_with(&spec, EngineKind::Scalar), run_with(&spec, EngineKind::Batched));
+        dispatch_invariant_report(&spec);
     }
 }
 
@@ -124,13 +120,12 @@ fn faults() -> Vec<FaultSpec> {
 }
 
 proptest! {
-    /// The oracle property over the adversarial stress axes: throttle
+    /// Dispatch invariance over the adversarial stress axes: throttle
     /// and boost crossings, arrival edges and harvester fault storms
-    /// are all lane discontinuities the batched interleaver must land
-    /// on exactly, so outcomes stay bitwise those of the scalar path
+    /// must land identically whichever worker or shard runs the cell,
     /// for every (thermal, arrival, fault) combination.
     #[test]
-    fn stress_axes_stay_bitwise_across_engines(
+    fn stress_axes_stay_bitwise_across_threads_and_shards(
         t in 0usize..3,
         a in 0usize..3,
         f in 0usize..3,
@@ -146,15 +141,14 @@ proptest! {
             .with_arrivals(vec![arrivals()[a]])
             .with_faults(vec![faults()[f]])
             .with_duration(Seconds::new(3.0));
-        prop_assert_eq!(run_with(&spec, EngineKind::Scalar), run_with(&spec, EngineKind::Batched));
+        dispatch_invariant_report(&spec);
     }
 }
 
 #[test]
 fn all_stress_axes_at_once_match_in_one_batch() {
-    // The worst case for the interleaver: every palette entry armed in
-    // the same lane group, so thermal, arrival and fault boundaries
-    // from different lanes interleave within single loop iterations.
+    // Every palette entry armed in one campaign, so cells with
+    // thermal, arrival and fault boundaries share workers and shards.
     let spec = CampaignSpec::new()
         .expect("paper preset valid")
         .with_weathers(vec![Weather::PartialSun])
@@ -164,28 +158,26 @@ fn all_stress_axes_at_once_match_in_one_batch() {
         .with_arrivals(arrivals())
         .with_faults(faults())
         .with_duration(Seconds::new(4.0));
-    assert_eq!(run_with(&spec, EngineKind::Scalar), run_with(&spec, EngineKind::Batched));
+    dispatch_invariant_report(&spec);
 }
 
 #[test]
 fn full_governor_axis_matches_in_one_batch() {
-    // All ten governors over one shared day — the widest lane group
-    // a single (weather, seed) point can produce.
+    // All ten governors over one shared day.
     let spec = CampaignSpec::new()
         .expect("paper preset valid")
         .with_weathers(vec![Weather::PartialSun])
         .with_seeds(vec![3])
         .with_governors(governors())
         .with_duration(Seconds::new(4.0));
-    assert_eq!(run_with(&spec, EngineKind::Scalar), run_with(&spec, EngineKind::Batched));
+    dispatch_invariant_report(&spec);
 }
 
 #[test]
-fn group_dispatched_campaigns_are_thread_count_invariant() {
-    // Group dispatch hands whole (weather, seed) runs to the executor;
-    // the report must still be independent of how many workers claim
-    // them — including with scalar cells mixed in via per-cell
-    // overrides (singleton groups between batches).
+fn per_cell_dispatched_campaigns_are_thread_count_invariant() {
+    // One executor item per cell: the report must be independent of
+    // how many workers claim them, including under a recorded engine
+    // token.
     let spec = CampaignSpec::new()
         .expect("paper preset valid")
         .with_weathers(vec![Weather::FullSun, Weather::Cloudy, Weather::Stormy])
@@ -195,19 +187,19 @@ fn group_dispatched_campaigns_are_thread_count_invariant() {
     let sequential = run_campaign(&spec, &Executor::sequential()).unwrap();
     for threads in [2usize, 4, 8] {
         let wide = run_campaign(&spec, &Executor::new(threads)).unwrap();
-        assert_eq!(wide, sequential, "{threads}-thread group dispatch diverged");
+        assert_eq!(wide, sequential, "{threads}-thread dispatch diverged");
     }
-    let scalar = spec.with_engine(EngineKind::Scalar);
-    let scalar_sequential = run_campaign(&scalar, &Executor::sequential()).unwrap();
-    let scalar_wide = run_campaign(&scalar, &Executor::new(4)).unwrap();
-    assert_eq!(scalar_wide, scalar_sequential);
+    let tagged = spec.with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar));
+    let tagged_sequential = run_campaign(&tagged, &Executor::sequential()).unwrap();
+    let tagged_wide = run_campaign(&tagged, &Executor::new(4)).unwrap();
+    assert_eq!(tagged_wide, tagged_sequential);
 }
 
 #[test]
 fn dpm_governors_match_bitwise_across_every_weather() {
-    // The idle-capable policies are the ones whose lanes pause and
-    // resume mid-run (idle entry/exit discontinuities), so their
-    // batched interleaving gets its own exhaustive weather sweep.
+    // The idle-capable policies pause and resume mid-run (idle
+    // entry/exit discontinuities), so they get an exhaustive weather
+    // sweep of their own.
     for weather in Weather::all() {
         let spec = CampaignSpec::new()
             .expect("paper preset valid")
@@ -215,24 +207,22 @@ fn dpm_governors_match_bitwise_across_every_weather() {
             .with_seeds(vec![2])
             .with_governors(vec![GovernorSpec::RaceToIdle, GovernorSpec::BudgetShift])
             .with_duration(Seconds::new(5.0));
-        assert_eq!(
-            run_with(&spec, EngineKind::Scalar),
-            run_with(&spec, EngineKind::Batched),
-            "{weather} diverged"
-        );
+        dispatch_invariant_report(&spec);
     }
 }
 
 #[test]
 fn scalar_and_batched_csv_exports_are_byte_identical() {
-    // The CSV bridge carries no engine column, so the two engines must
-    // produce the same bytes — the invariant the CI smoke run pins
-    // end to end through the `campaign` binary.
+    // The engine token is recorded, not acted on, and the CSV bridge
+    // carries no engine column: specs tagged with either token, or
+    // with none, export the same bytes.
     let spec = CampaignSpec::smoke().with_duration(Seconds::new(10.0));
     let executor = Executor::new(2);
-    let scalar = run_campaign(&spec.clone().with_engine(EngineKind::Scalar), &executor).unwrap();
-    let batched = run_campaign(&spec.with_engine(EngineKind::Batched), &executor).unwrap();
-    let scalar_csv = persist::report_csv_string(&scalar).unwrap();
-    let batched_csv = persist::report_csv_string(&batched).unwrap();
-    assert_eq!(scalar_csv, batched_csv);
+    let csv = |options: SimOverrides| {
+        let report = run_campaign(&spec.clone().with_cell_options(options), &executor).unwrap();
+        persist::report_csv_string(&report).unwrap()
+    };
+    let untagged = csv(SimOverrides::none());
+    assert_eq!(csv(SimOverrides::none().with_engine(EngineKind::Scalar)), untagged);
+    assert_eq!(csv(SimOverrides::none().with_engine(EngineKind::Batched)), untagged);
 }

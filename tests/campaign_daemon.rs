@@ -129,11 +129,12 @@ fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
         daemon.stop();
     }
 
-    // Edit the persisted spec (scalar engine instead of the default):
-    // the existing checkpoints still match by label, but their options
-    // no longer match the spec, so recovery must discard them and
+    // Edit the persisted spec (record the scalar engine token): the
+    // existing checkpoints still match by label, but their options no
+    // longer match the spec, so recovery must discard them and
     // recompute under the edited spec.
-    let edited = spec.with_engine(EngineKind::Scalar);
+    let mut edited = spec;
+    edited.options.engine = Some(EngineKind::Scalar);
     let job_dir = dir.join("job-1");
     std::fs::write(job_dir.join("spec.pnc"), persist::spec_to_string(&edited))
         .expect("edit spec");
