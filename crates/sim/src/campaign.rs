@@ -28,7 +28,7 @@
 //! # }
 //! ```
 
-use crate::engine::{EngineKind, SimOverrides, Simulation};
+use crate::engine::{SimOverrides, Simulation};
 use crate::executor::Executor;
 use crate::scenario::{self, Scenario};
 use crate::supply::SupplyModel;
@@ -804,8 +804,9 @@ impl CampaignReport {
     /// Returns [`SimError::InvalidConfig`] when no parts are given, and
     /// [`SimError::Campaign`] when the parts overlap (naming the first
     /// duplicated cell — e.g. a shard report merged twice, or a resumed
-    /// run re-simulating a cell its saved report already carries) or
-    /// leave a gap (a shard report is missing).
+    /// run re-simulating a cell its saved report already carries),
+    /// leave a gap (a shard report is missing), or would index cells
+    /// past `usize::MAX`.
     pub fn merge(parts: impl IntoIterator<Item = CampaignReport>) -> Result<Self, SimError> {
         let mut parts: Vec<CampaignReport> = parts.into_iter().collect();
         if parts.is_empty() {
@@ -817,7 +818,13 @@ impl CampaignReport {
         // regardless of arrival order.
         parts.sort_by_key(|p| (p.start, p.cells.len()));
         let start = parts[0].start;
-        let mut cells = Vec::with_capacity(parts.iter().map(|p| p.cells.len()).sum());
+        let total: usize = parts.iter().map(|p| p.cells.len()).sum();
+        if start.checked_add(total).is_none() {
+            return Err(SimError::Campaign(format!(
+                "{total} cells from matrix index {start} overflow the matrix index"
+            )));
+        }
+        let mut cells = Vec::with_capacity(total);
         for part in parts {
             let expected = start + cells.len();
             match part.start.cmp(&expected) {
@@ -1036,9 +1043,9 @@ pub fn resume_campaign_parts(
 /// Validates that `saved` is exactly the spec's cells over its matrix
 /// range: same position, same labels, and — crucially — the same
 /// per-cell options, control parameters and duration. A stale
-/// checkpoint written under an edited spec (different engine, supply
-/// model, idle flag, governor set, …) therefore errors instead of
-/// silently merging into a fresh run. Shared by
+/// checkpoint written under an edited spec (different supply model,
+/// idle flag, recording interval, governor set, …) therefore errors
+/// instead of silently merging into a fresh run. Shared by
 /// [`resume_campaign_parts`] and the daemon's checkpoint-recovery
 /// path.
 pub(crate) fn validate_saved_slice(
@@ -1046,11 +1053,12 @@ pub(crate) fn validate_saved_slice(
     saved: &CampaignReport,
 ) -> Result<(), SimError> {
     let start = saved.start();
-    let end = start + saved.len();
-    if end > cells.len() {
+    let end = start.checked_add(saved.len()).filter(|&end| end <= cells.len());
+    if end.is_none() {
         return Err(SimError::Campaign(format!(
-            "saved report covers matrix indices {start}..{end} but the spec enumerates only \
-             {} cells",
+            "saved report covers {} cells from matrix index {start} but the spec enumerates \
+             only {} cells",
+            saved.len(),
             cells.len(),
         )));
     }
@@ -1076,9 +1084,6 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     if got.label() != expected.label() {
         return format!("saved cell {} where the spec has {}", got.label(), expected.label());
     }
-    fn opt_slug(engine: Option<EngineKind>) -> String {
-        engine.map_or_else(|| "inherit".to_string(), |e| e.slug().to_string())
-    }
     fn opt_model(model: &Option<SupplyModel>) -> String {
         model.as_ref().map_or_else(|| "inherit".to_string(), SupplyModel::slug)
     }
@@ -1087,9 +1092,6 @@ fn cell_mismatch(expected: &CampaignCell, got: &CampaignCell) -> String {
     }
     let mut diffs: Vec<String> = Vec::new();
     let (saved, spec) = (&got.options, &expected.options);
-    if saved.engine != spec.engine {
-        diffs.push(format!("engine {} vs {}", opt_slug(saved.engine), opt_slug(spec.engine)));
-    }
     if saved.supply_model != spec.supply_model {
         diffs.push(format!(
             "supply model {} vs {}",
@@ -1447,8 +1449,9 @@ mod tests {
         let executor = Executor::sequential();
         let full = run_campaign(&spec, &executor).unwrap();
         let saved = CampaignReport::from_parts(0, full.cells()[..2].to_vec());
+        let coarse = SimOverrides::none().with_record_dt(Seconds::new(1.0));
         let edits: [(CampaignSpec, &str); 3] = [
-            (spec.clone().with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar)), "engine"),
+            (spec.clone().with_cell_options(coarse), "record_dt"),
             (spec.clone().with_supply_model(SupplyModel::interpolated()), "supply model"),
             (spec.clone().with_cell_options(SimOverrides::none().with_idle(false)), "idle"),
         ];
@@ -1566,26 +1569,6 @@ mod tests {
             dense.options().max_step,
             "unset override fields must inherit"
         );
-    }
-
-    #[test]
-    fn the_recorded_engine_token_changes_no_outcome() {
-        // The token survives on the wire but selects nothing: a spec
-        // carrying either one reproduces the default run except for
-        // the recorded option itself.
-        let spec = CampaignSpec::smoke().with_duration(Seconds::new(5.0));
-        let executor = Executor::sequential();
-        let plain = run_campaign(&spec, &executor).unwrap();
-        for kind in [EngineKind::Scalar, EngineKind::Batched] {
-            let tagged = spec.clone().with_cell_options(SimOverrides::none().with_engine(kind));
-            let report = run_campaign(&tagged, &executor).unwrap();
-            for (x, y) in plain.cells().iter().zip(report.cells()) {
-                assert_eq!(y.cell.options.engine, Some(kind));
-                let mut y = *y;
-                y.cell.options.engine = None;
-                assert_eq!(*x, y, "{} diverged under {kind}", x.cell.label());
-            }
-        }
     }
 
     #[test]

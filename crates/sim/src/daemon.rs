@@ -126,7 +126,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -322,6 +322,9 @@ struct Shared {
     retry_budget: u32,
     watch_chunk: usize,
     jobs: Mutex<Vec<Arc<Job>>>,
+    /// The next job id: past every `job-<id>` entry recovery saw, so a
+    /// new job never reuses the directory of one it could not decode.
+    next_id: AtomicU64,
     queue: Mutex<VecDeque<Task>>,
     queue_cond: Condvar,
     shutdown: AtomicBool,
@@ -388,6 +391,7 @@ impl Daemon {
             retry_budget: config.retry_budget,
             watch_chunk: config.watch_chunk.max(1),
             jobs: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(1),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -463,9 +467,11 @@ fn begin_shutdown(shared: &Shared) {
 // ---------------------------------------------------------------------
 
 /// Rescans the checkpoint directory and re-registers every decodable
-/// job. Jobs whose spec or meta file is missing or torn were never
-/// acknowledged to a client (the meta and spec are written before the
-/// submit reply) and are skipped with a note on stderr.
+/// job. Jobs whose spec or meta file is missing, torn or written in
+/// another wire dialect are skipped with a note on stderr (a torn one
+/// was never acknowledged to a client: the meta and spec are written
+/// before the submit reply). New job ids start past every `job-<id>`
+/// entry, skipped ones included.
 fn recover_jobs(shared: &Arc<Shared>) {
     let Ok(entries) = std::fs::read_dir(&shared.dir) else {
         return;
@@ -475,11 +481,14 @@ fn recover_jobs(shared: &Arc<Shared>) {
             let entry = entry.ok()?;
             let name = entry.file_name().to_string_lossy().into_owned();
             let id: u64 = name.strip_prefix("job-")?.parse().ok()?;
-            entry.file_type().ok()?.is_dir().then(|| (id, entry.path()))
+            Some((id, entry.path()))
         })
         .collect();
     found.sort_by_key(|&(id, _)| id);
-    for (id, dir) in found {
+    if let Some(&(last, _)) = found.last() {
+        shared.next_id.store(last.saturating_add(1), Ordering::SeqCst);
+    }
+    for (id, dir) in found.into_iter().filter(|(_, dir)| dir.is_dir()) {
         match load_job(id, &dir) {
             Ok(job) => register_job(shared, &job),
             Err(e) => eprintln!("campaignd: skipping {}: {e}", dir.display()),
@@ -901,8 +910,9 @@ fn handle_submit(
     }
 }
 
-/// Registers a new job: allocate the next id, persist meta + spec
-/// (both atomic, both before the submit reply), enqueue every shard.
+/// Registers a new job: allocate the next id, create its directory
+/// (which must not exist yet), persist meta + spec (both atomic, both
+/// before the submit reply), enqueue every shard.
 fn submit_job(
     shared: &Arc<Shared>,
     spec: &CampaignSpec,
@@ -914,18 +924,14 @@ fn submit_job(
     }
     let shard_count =
         if shard_request == 0 { cells.len() } else { shard_request.min(cells.len()) };
-    let job = {
-        let jobs = shared.jobs.lock().expect("jobs lock");
-        let id = jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
-        drop(jobs);
-        let dir = shared.dir.join(format!("job-{id}"));
-        std::fs::create_dir_all(&dir).map_err(|e| {
-            SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
-        })?;
-        write_artifact(shared, &dir.join("job.meta"), &job_meta_string(shard_count))?;
-        write_artifact(shared, &dir.join("spec.pnc"), &persist::spec_to_string(spec))?;
-        Arc::new(Job::new(id, dir, spec, shard_count))
-    };
+    let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
+    let dir = shared.dir.join(format!("job-{id}"));
+    std::fs::create_dir(&dir).map_err(|e| {
+        SimError::Daemon(format!("cannot create job dir {}: {e}", dir.display()))
+    })?;
+    write_artifact(shared, &dir.join("job.meta"), &job_meta_string(shard_count))?;
+    write_artifact(shared, &dir.join("spec.pnc"), &persist::spec_to_string(spec))?;
+    let job = Arc::new(Job::new(id, dir, spec, shard_count));
     register_job(shared, &job);
     Ok(job)
 }

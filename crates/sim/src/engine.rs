@@ -29,45 +29,6 @@ use pn_workload::arrival::{ArrivalSpec, ArrivalTimeline};
 use pn_workload::work::WorkAccount;
 use serde::{Deserialize, Serialize};
 
-/// The campaign engine token of the v3–v6 wire dialects.
-///
-/// It selects nothing — every campaign cell runs on its own — but
-/// saved specs and checkpoints carry it, so it is still parsed, kept
-/// and re-emitted to make them round-trip byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// The `scalar` token.
-    Scalar,
-    /// The `batched` token.
-    Batched,
-}
-
-impl EngineKind {
-    /// Stable machine token (`scalar` / `batched`) for persistence.
-    /// Round-trips through [`EngineKind::from_slug`].
-    pub fn slug(&self) -> &'static str {
-        match self {
-            EngineKind::Scalar => "scalar",
-            EngineKind::Batched => "batched",
-        }
-    }
-
-    /// Parses an [`EngineKind::slug`] token.
-    pub fn from_slug(slug: &str) -> Option<EngineKind> {
-        match slug {
-            "scalar" => Some(EngineKind::Scalar),
-            "batched" => Some(EngineKind::Batched),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.slug())
-    }
-}
-
 /// Engine tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -202,9 +163,6 @@ pub struct SimOverrides {
     pub max_step: Option<Seconds>,
     /// Override of [`SimOptions::supply_model`].
     pub supply_model: Option<SupplyModel>,
-    /// Campaign engine token: recorded, not acted on; removed with the
-    /// wire-format collapse.
-    pub engine: Option<EngineKind>,
     /// Override of [`SimOptions::idle_enabled`].
     pub idle: Option<bool>,
 }
@@ -235,13 +193,6 @@ impl SimOverrides {
     /// Sets the maximum ODE step (builder style).
     pub fn with_max_step(mut self, dt: Seconds) -> Self {
         self.max_step = Some(dt);
-        self
-    }
-
-    /// Sets the recorded engine token (builder style); it selects
-    /// nothing.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -1386,19 +1337,6 @@ mod tests {
             sparse.recorder().len(),
             dense.recorder().len()
         );
-    }
-
-    #[test]
-    fn engine_kind_slugs_round_trip() {
-        for kind in [EngineKind::Scalar, EngineKind::Batched] {
-            assert_eq!(EngineKind::from_slug(kind.slug()), Some(kind));
-            assert_eq!(kind.to_string(), kind.slug());
-            assert!(!kind.slug().contains([' ', ',']), "slug {:?} not CSV-safe", kind.slug());
-        }
-        assert_eq!(EngineKind::from_slug("vector"), None);
-        // Pinned spellings: persisted specs depend on them.
-        assert_eq!(EngineKind::Scalar.slug(), "scalar");
-        assert_eq!(EngineKind::Batched.slug(), "batched");
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! * a versioned, line-oriented wire format for [`CampaignSpec`] and
 //!   [`CampaignReport`] ([`spec_to_string`] / [`spec_from_str`],
-//!   [`report_to_string`] / [`report_from_str`]). Floats are written
-//!   with Rust's shortest-round-trip formatting, so decoding
+//!   [`report_to_string`] / [`report_from_str`]). Exactly one dialect
+//!   is read and written, `pn-campaign-spec v6` / `pn-campaign-report
+//!   v7`; a document of any other version is rejected with a
+//!   version-skew error naming the supported header. Floats are
+//!   written with Rust's shortest-round-trip formatting, so decoding
 //!   reproduces every `f64` bitwise and a decode–encode cycle is the
-//!   identity;
+//!   identity. The decoders are total: any input yields a value or a
+//!   [`SimError::Persist`], never a panic or an allocation sized by
+//!   the document's own counts;
 //! * the campaign CSV bridge ([`campaign_rows`] /
 //!   [`report_csv_string`]) onto
 //!   [`pn_analysis::csv::write_campaign_csv`];
@@ -51,7 +56,7 @@ use crate::campaign::{
     CampaignCell, CampaignReport, CampaignSpec, CellOutcome, GovernorSpec, GroupSummary,
 };
 use crate::chaos;
-use crate::engine::{EngineKind, SimOverrides};
+use crate::engine::SimOverrides;
 use crate::supply::SupplyModel;
 use crate::SimError;
 use pn_analysis::csv::{write_campaign_csv, write_summary_csv, CampaignRow, SummaryRow};
@@ -66,56 +71,13 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Written spec header: v2 added the `options` line (per-cell
-/// [`SimOverrides`]), v3 the engine token on it, v4 the idle token, v5
-/// the stress axes (`thermals`, `arrivals`, `faults` lines).
-const SPEC_HEADER: &str = "pn-campaign-spec v5";
-/// Still-readable v4 spec header (documents written before the stress
-/// axes existed; they decode with the axes at their defaults).
-const SPEC_HEADER_V4: &str = "pn-campaign-spec v4";
-/// Still-readable v3 spec header (documents written before the idle
-/// token existed; their options decode with no idle override).
-const SPEC_HEADER_V3: &str = "pn-campaign-spec v3";
-/// Still-readable v2 spec header (documents written before the engine
-/// token existed; their options decode with no engine override).
-const SPEC_HEADER_V2: &str = "pn-campaign-spec v2";
-/// Still-readable v1 spec header (documents written before per-cell
-/// options existed; they decode with no overrides).
-const SPEC_HEADER_V1: &str = "pn-campaign-spec v1";
-/// Written report header: v2 added the optional `summary` section, v3
-/// the per-cell options suffix on `cell` lines, v4 the engine token in
-/// that suffix, v5 the idle counters and the idle options token, v6
-/// the stress-axis tokens (thermal/arrival/fault slugs plus heat and
-/// fault metrics).
-const REPORT_HEADER: &str = "pn-campaign-report v6";
-/// Still-readable v5 header (documents written before the stress axes
-/// existed; their cells decode with the axes at their defaults and
-/// zeroed stress metrics).
-const REPORT_HEADER_V5: &str = "pn-campaign-report v5";
-/// Still-readable v4 header (documents written before the idle
-/// counters and options token existed).
-const REPORT_HEADER_V4: &str = "pn-campaign-report v4";
-/// Still-readable v3 header (documents written before the engine token
-/// existed).
-const REPORT_HEADER_V3: &str = "pn-campaign-report v3";
-/// Still-readable v2 header (documents written before per-cell
-/// options existed).
-const REPORT_HEADER_V2: &str = "pn-campaign-report v2";
-/// Still-readable v1 header (documents written before the summary
-/// section existed).
-const REPORT_HEADER_V1: &str = "pn-campaign-report v1";
-
-/// Post-header token budget of a report `cell` line beyond the 18
-/// outcome fields, by header version index (current first): v6 and v5
-/// carry two idle counters plus a five-token options suffix (v6 also
-/// seven stress tokens between them), v4 a four-token options suffix,
-/// v3 a three-token one, v2/v1 nothing. Exact counts make a torn
-/// suffix undecodable rather than silently readable as an older
-/// dialect.
-const REPORT_OPTION_TOKENS: [usize; 6] = [5, 5, 4, 3, 0, 0];
-/// Options-line token budget of a spec document, by header version
-/// index (current first).
-const SPEC_OPTION_TOKENS: [usize; 5] = [5, 5, 4, 3, 3];
+/// The one spec dialect this build reads and writes.
+const SPEC_HEADER: &str = "pn-campaign-spec v6";
+/// The one report dialect this build reads and writes.
+const REPORT_HEADER: &str = "pn-campaign-report v7";
+/// The shortest possible `cell` line: the key plus 31 one-byte
+/// tokens, each after a one-byte separator.
+const MIN_CELL_LINE_BYTES: usize = "cell".len() + 31 * 2;
 
 /// Writes `contents` to `path` atomically: the bytes go to a fresh
 /// temp file in the same directory (same filesystem, so the final
@@ -211,7 +173,7 @@ pub fn write_atomic_with(
     Ok(())
 }
 
-/// Serializes a campaign spec to the v5 wire format.
+/// Serializes a campaign spec to the v6 wire format.
 pub fn spec_to_string(spec: &CampaignSpec) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{SPEC_HEADER}");
@@ -258,24 +220,17 @@ pub fn spec_to_string(spec: &CampaignSpec) -> String {
     out
 }
 
-/// Decodes a campaign spec from the wire format (v5, or the
-/// v4/v3/v2/v1 dialects written before the stress axes / idle token /
-/// engine token / per-cell options existed — missing axis lines decode
-/// as the defaults).
+/// Decodes a campaign spec from the v6 wire format. Missing axis
+/// lines decode as the axis defaults.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persist`] for a malformed document, including
-/// parameter lines that fail [`ControlParams`] validation.
+/// a different header version, a non-finite number and parameter
+/// lines that fail [`ControlParams`] validation.
 pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
     let mut lines = Lines::new(text);
-    let version = lines.expect_header(&[
-        SPEC_HEADER,
-        SPEC_HEADER_V4,
-        SPEC_HEADER_V3,
-        SPEC_HEADER_V2,
-        SPEC_HEADER_V1,
-    ])?;
+    lines.expect_header(SPEC_HEADER)?;
     let mut spec = CampaignSpec {
         weathers: Vec::new(),
         seeds: Vec::new(),
@@ -294,13 +249,7 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
         match key {
             "end" => break,
             "weathers" => {
-                spec.weathers = rest
-                    .split_whitespace()
-                    .map(|s| {
-                        Weather::from_slug(s)
-                            .ok_or_else(|| persist_err(no, format!("unknown weather {s:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
+                spec.weathers = parse_slug_list(no, rest, "weather", Weather::from_slug)?;
             }
             "seeds" => spec.seeds = parse_list(no, rest)?,
             "thermals" => {
@@ -313,15 +262,9 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
             "faults" => {
                 spec.faults = parse_slug_list(no, rest, "fault spec", FaultSpec::from_slug)?;
             }
-            "buffers" => spec.buffers_mf = parse_list(no, rest)?,
+            "buffers" => spec.buffers_mf = parse_floats(no, rest)?,
             "governors" => {
-                spec.governors = rest
-                    .split_whitespace()
-                    .map(|s| {
-                        GovernorSpec::from_slug(s)
-                            .ok_or_else(|| persist_err(no, format!("unknown governor {s:?}")))
-                    })
-                    .collect::<Result<_, _>>()?;
+                spec.governors = parse_slug_list(no, rest, "governor", GovernorSpec::from_slug)?;
             }
             "params" => {
                 let [vw, vq, alpha, beta] = parse_array(no, rest)?;
@@ -335,7 +278,7 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
             }
             "options" => {
                 let tokens: Vec<&str> = rest.split_whitespace().collect();
-                spec.options = parse_overrides(no, &tokens, SPEC_OPTION_TOKENS[version])?;
+                spec.options = parse_overrides(no, &tokens)?;
             }
             other => return Err(persist_err(no, format!("unknown spec key {other:?}"))),
         }
@@ -343,12 +286,12 @@ pub fn spec_from_str(text: &str) -> Result<CampaignSpec, SimError> {
     Ok(spec)
 }
 
-/// Serializes a (full or shard) campaign report to the v6 wire format.
+/// Serializes a (full or shard) campaign report to the v7 wire format.
 ///
 /// Besides one `cell` line per outcome — each carrying its idle
 /// counters, its stress-axis tokens (thermal/arrival/fault slugs plus
-/// heat and fault metrics, v6) and its per-cell [`SimOverrides`] as a
-/// five-token options suffix — the document carries the report's per-weather and
+/// heat and fault metrics) and its per-cell [`SimOverrides`] as a
+/// four-token options suffix — the document carries the report's per-weather and
 /// per-governor [`GroupSummary`] aggregates as `summary` lines, so a
 /// consumer can read fleet-level statistics without re-reducing the
 /// cells (the decoder cross-checks them against the cells it parsed).
@@ -424,42 +367,40 @@ fn aggregate_fields(agg: &Aggregate) -> String {
     )
 }
 
-/// Decodes a campaign report from the wire format (v6, or the
-/// v5/v4/v3/v2/v1 dialects written before the stress axes / idle
-/// counters / engine token / per-cell options / the summary section
-/// existed — missing pieces decode as unset, zero or the axis
-/// default). Every `f64` is reproduced bitwise, so
-/// `report_from_str(&report_to_string(r)) == r` exactly.
+/// Decodes a campaign report from the v7 wire format. Every `f64` is
+/// reproduced bitwise, so `report_from_str(&report_to_string(r)) == r`
+/// exactly.
 ///
-/// `summary` sections are optional (documents written before they
-/// existed still decode), but when present they must agree with the
-/// summaries recomputed from the decoded cells — a corrupted or
-/// hand-edited summary is rejected rather than silently shadowing the
-/// cells.
+/// The `summary` sections must equal the summaries recomputed from the
+/// decoded cells — a corrupted or hand-edited summary is rejected
+/// rather than silently shadowing the cells. An empty report has no
+/// groups and therefore no `summary` lines.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Persist`] for a malformed document (bad header
-/// or version, wrong cell count, undecodable token, unknown or
-/// inconsistent summary section).
+/// or version, a `start + cells` range past `usize::MAX`, wrong cell
+/// count, undecodable or non-finite token, unknown or inconsistent
+/// summary section).
 pub fn report_from_str(text: &str) -> Result<CampaignReport, SimError> {
     let mut lines = Lines::new(text);
-    let version = lines.expect_header(&[
-        REPORT_HEADER,
-        REPORT_HEADER_V5,
-        REPORT_HEADER_V4,
-        REPORT_HEADER_V3,
-        REPORT_HEADER_V2,
-        REPORT_HEADER_V1,
-    ])?;
+    lines.expect_header(REPORT_HEADER)?;
     let (no, line) = lines.next_line()?;
     let start: usize = parse_keyed(no, line, "start")?;
     let (no, line) = lines.next_line()?;
     let count: usize = parse_keyed(no, line, "cells")?;
-    let mut cells = Vec::with_capacity(count);
+    if start.checked_add(count).is_none() {
+        return Err(persist_err(
+            no,
+            format!("{count} cells from offset {start} overflow the matrix index"),
+        ));
+    }
+    // The declared count is untrusted: reserve no more cells than the
+    // document's bytes could hold.
+    let mut cells = Vec::with_capacity(count.min(text.len() / MIN_CELL_LINE_BYTES));
     for _ in 0..count {
         let (no, line) = lines.next_line()?;
-        cells.push(parse_cell_line(no, line, version)?);
+        cells.push(parse_cell_line(no, line)?);
     }
     let mut by_weather: Vec<GroupSummary> = Vec::new();
     let mut by_governor: Vec<GroupSummary> = Vec::new();
@@ -478,15 +419,11 @@ pub fn report_from_str(text: &str) -> Result<CampaignReport, SimError> {
         }
     }
     let report = CampaignReport::from_parts(start, cells);
-    type Recompute = fn(&CampaignReport) -> Vec<GroupSummary>;
-    let checks: [(&str, Vec<GroupSummary>, Recompute); 2] = [
-        ("weather", by_weather, CampaignReport::by_weather),
-        ("governor", by_governor, CampaignReport::by_governor),
-    ];
-    for (kind, parsed, recompute) in checks {
-        // Recompute lazily: v1 documents (and summary-stripped v2
-        // ones) skip both reductions entirely.
-        if !parsed.is_empty() && parsed != recompute(&report) {
+    for (kind, parsed, recomputed) in [
+        ("weather", by_weather, report.by_weather()),
+        ("governor", by_governor, report.by_governor()),
+    ] {
+        if parsed != recomputed {
             return Err(SimError::Persist(format!(
                 "{kind} summary section does not match the cell rows \
                  (the document was corrupted or hand-edited)"
@@ -547,7 +484,7 @@ fn parse_summary_line(no: usize, rest: &str) -> Result<(SummaryKind, GroupSummar
     ))
 }
 
-fn parse_cell_line(no: usize, line: &str, version: usize) -> Result<CellOutcome, SimError> {
+fn parse_cell_line(no: usize, line: &str) -> Result<CellOutcome, SimError> {
     let mut tok = line.split_whitespace();
     if tok.next() != Some("cell") {
         return Err(persist_err(no, "expected a cell line".into()));
@@ -555,93 +492,43 @@ fn parse_cell_line(no: usize, line: &str, version: usize) -> Result<CellOutcome,
     let mut next = |what: &str| {
         tok.next().ok_or_else(|| persist_err(no, format!("cell line missing {what}")))
     };
-    let weather = {
-        let s = next("weather")?;
-        Weather::from_slug(s).ok_or_else(|| persist_err(no, format!("unknown weather {s:?}")))?
-    };
+    let weather = parse_slug(no, next("weather")?, "weather", Weather::from_slug)?;
     let seed = parse_token(no, next("seed")?)?;
-    let buffer_mf = parse_token(no, next("buffer")?)?;
-    let governor = {
-        let s = next("governor")?;
-        GovernorSpec::from_slug(s)
-            .ok_or_else(|| persist_err(no, format!("unknown governor {s:?}")))?
-    };
+    let buffer_mf = parse_f64(no, next("buffer")?)?;
+    let governor = parse_slug(no, next("governor")?, "governor", GovernorSpec::from_slug)?;
     let params = ControlParams::new(
-        Volts::new(parse_token(no, next("v_width")?)?),
-        Volts::new(parse_token(no, next("v_q")?)?),
-        parse_token(no, next("alpha")?)?,
-        parse_token(no, next("beta")?)?,
+        Volts::new(parse_f64(no, next("v_width")?)?),
+        Volts::new(parse_f64(no, next("v_q")?)?),
+        parse_f64(no, next("alpha")?)?,
+        parse_f64(no, next("beta")?)?,
     )
     .map_err(|e| persist_err(no, format!("invalid control parameters: {e}")))?;
-    let duration = Seconds::new(parse_token(no, next("duration")?)?);
+    let duration = Seconds::new(parse_f64(no, next("duration")?)?);
     let survived = match next("survived")? {
         "1" => true,
         "0" => false,
         other => return Err(persist_err(no, format!("bad survived flag {other:?}"))),
     };
-    let lifetime_seconds = parse_token(no, next("lifetime")?)?;
-    let vc_stability = parse_token(no, next("vc_stability")?)?;
-    let instructions_billions = parse_token(no, next("instructions")?)?;
-    let renders_per_minute = parse_token(no, next("renders")?)?;
-    let energy_in_joules = parse_token(no, next("energy_in")?)?;
-    let energy_out_joules = parse_token(no, next("energy_out")?)?;
+    let lifetime_seconds = parse_f64(no, next("lifetime")?)?;
+    let vc_stability = parse_f64(no, next("vc_stability")?)?;
+    let instructions_billions = parse_f64(no, next("instructions")?)?;
+    let renders_per_minute = parse_f64(no, next("renders")?)?;
+    let energy_in_joules = parse_f64(no, next("energy_in")?)?;
+    let energy_out_joules = parse_f64(no, next("energy_out")?)?;
     let transitions = parse_token(no, next("transitions")?)?;
-    let final_vc = parse_token(no, next("final_vc")?)?;
-    // v5 appended the idle counters; dialects before it decode with
-    // zeros (their cells never idled — the axis did not exist).
-    let (idle_time_seconds, idle_entries) = if version <= 1 {
-        (parse_token(no, next("idle_time")?)?, parse_token(no, next("idle_entries")?)?)
-    } else {
-        (0.0, 0u64)
-    };
-    // v6 appended the stress axes (thermal/arrival/fault slugs) and
-    // their outcome metrics; older dialects decode with the axes at
-    // their defaults and zeroed metrics (the disturbances did not
-    // exist, so none occurred).
-    let (thermal, arrival, fault, peak_temp_c, throttle_time_seconds, boost_time_seconds, faults_injected) =
-        if version == 0 {
-            let s = next("thermal")?;
-            let thermal = ThermalSpec::from_slug(s)
-                .ok_or_else(|| persist_err(no, format!("unknown thermal spec {s:?}")))?;
-            let s = next("arrival")?;
-            let arrival = ArrivalSpec::from_slug(s)
-                .ok_or_else(|| persist_err(no, format!("unknown arrival spec {s:?}")))?;
-            let s = next("fault")?;
-            let fault = FaultSpec::from_slug(s)
-                .ok_or_else(|| persist_err(no, format!("unknown fault spec {s:?}")))?;
-            (
-                thermal,
-                arrival,
-                fault,
-                parse_token(no, next("peak_temp")?)?,
-                parse_token(no, next("throttle_time")?)?,
-                parse_token(no, next("boost_time")?)?,
-                parse_token(no, next("faults_injected")?)?,
-            )
-        } else {
-            (ThermalSpec::Off, ArrivalSpec::Saturated, FaultSpec::None, 0.0, 0.0, 0.0, 0)
-        };
-    // v3 appended the per-cell options (record_dt, max_step, supply
-    // model; `-` for unset); v4 added the engine token, v5 the idle
-    // token. Pre-v3 lines simply end here and decode with no
-    // overrides; in a v3+ document a short suffix is a torn write, not
-    // a legacy dialect, and is rejected with the exact count the
-    // header version promises.
-    let rest: Vec<&str> = tok.collect();
-    let expected = REPORT_OPTION_TOKENS[version];
-    let options = if expected == 0 {
-        if !rest.is_empty() {
-            return Err(persist_err(
-                no,
-                format!("cell line carries {} unexpected trailing tokens", rest.len()),
-            ));
-        }
-        SimOverrides::none()
-    } else if rest.is_empty() {
-        return Err(persist_err(no, "cell line missing its options section".into()));
-    } else {
-        parse_overrides(no, &rest, expected)?
-    };
+    let final_vc = parse_f64(no, next("final_vc")?)?;
+    let idle_time_seconds = parse_f64(no, next("idle_time")?)?;
+    let idle_entries = parse_token(no, next("idle_entries")?)?;
+    let thermal = parse_slug(no, next("thermal")?, "thermal spec", ThermalSpec::from_slug)?;
+    let arrival = parse_slug(no, next("arrival")?, "arrival spec", ArrivalSpec::from_slug)?;
+    let fault = parse_slug(no, next("fault")?, "fault spec", FaultSpec::from_slug)?;
+    let peak_temp_c = parse_f64(no, next("peak_temp")?)?;
+    let throttle_time_seconds = parse_f64(no, next("throttle_time")?)?;
+    let boost_time_seconds = parse_f64(no, next("boost_time")?)?;
+    let faults_injected = parse_token(no, next("faults_injected")?)?;
+    // The options suffix has an exact token count, so a line torn
+    // anywhere inside it is rejected rather than read short.
+    let options = parse_overrides(no, &tok.collect::<Vec<_>>())?;
     Ok(CellOutcome {
         cell: CampaignCell {
             weather,
@@ -673,36 +560,29 @@ fn parse_cell_line(no: usize, line: &str, version: usize) -> Result<CellOutcome,
     })
 }
 
-/// The five wire tokens of a [`SimOverrides`] (`record_dt max_step
-/// supply_model engine idle`, each `-` when unset).
+/// The four wire tokens of a [`SimOverrides`] (`record_dt max_step
+/// supply_model idle`, each `-` when unset).
 fn overrides_fields(options: &SimOverrides) -> String {
     let seconds = |s: Option<Seconds>| s.map_or("-".to_string(), |v| v.value().to_string());
     format!(
-        "{} {} {} {} {}",
+        "{} {} {} {}",
         seconds(options.record_dt),
         seconds(options.max_step),
         options.supply_model.map_or("-".to_string(), |m| m.slug()),
-        options.engine.map_or("-", |e| e.slug()),
         options.idle.map_or("-", |i| if i { "on" } else { "off" }),
     )
 }
 
 /// Parses the options section of a `cell` line or the spec's
-/// `options` line. `expected` is the exact token count the document's
-/// header version promises (five since report-v5/spec-v4; older
-/// dialects fewer) — a mismatch is a torn or tampered line, never
-/// reinterpreted as an older dialect. Missing trailing fields of old
-/// dialects decode as unset.
-fn parse_overrides(no: usize, tokens: &[&str], expected: usize) -> Result<SimOverrides, SimError> {
-    if tokens.len() != expected {
+/// `options` line: exactly the four [`overrides_fields`] tokens — any
+/// other count is a torn or tampered line.
+fn parse_overrides(no: usize, tokens: &[&str]) -> Result<SimOverrides, SimError> {
+    let &[record_dt, max_step, model, idle] = tokens else {
         return Err(persist_err(
             no,
-            format!("options section wants {expected} tokens, found {}", tokens.len()),
+            format!("options section wants 4 tokens, found {}", tokens.len()),
         ));
-    }
-    let token = |i: usize| tokens.get(i).copied().unwrap_or("-");
-    let (record_dt, max_step, model, engine, idle) =
-        (token(0), token(1), token(2), token(3), token(4));
+    };
     let seconds = |token: &str| -> Result<Option<Seconds>, SimError> {
         if token == "-" {
             return Ok(None);
@@ -716,18 +596,7 @@ fn parse_overrides(no: usize, tokens: &[&str], expected: usize) -> Result<SimOve
     let supply_model = if model == "-" {
         None
     } else {
-        Some(
-            SupplyModel::from_slug(model)
-                .ok_or_else(|| persist_err(no, format!("unknown supply model {model:?}")))?,
-        )
-    };
-    let engine = if engine == "-" {
-        None
-    } else {
-        Some(
-            EngineKind::from_slug(engine)
-                .ok_or_else(|| persist_err(no, format!("unknown engine {engine:?}")))?,
-        )
+        Some(parse_slug(no, model, "supply model", SupplyModel::from_slug)?)
     };
     let idle = match idle {
         "-" => None,
@@ -739,7 +608,6 @@ fn parse_overrides(no: usize, tokens: &[&str], expected: usize) -> Result<SimOve
         record_dt: seconds(record_dt)?,
         max_step: seconds(max_step)?,
         supply_model,
-        engine,
         idle,
     })
 }
@@ -838,25 +706,50 @@ fn parse_token<T: std::str::FromStr>(no: usize, token: &str) -> Result<T, SimErr
     token.parse().map_err(|_| persist_err(no, format!("undecodable token {token:?}")))
 }
 
+/// Parses a float token, rejecting `NaN` and infinities: no field of
+/// either document holds one, and a `NaN` would not even compare equal
+/// to its own decoded copy.
+fn parse_f64(no: usize, token: &str) -> Result<f64, SimError> {
+    let value: f64 = parse_token(no, token)?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(persist_err(no, format!("non-finite value {token:?}")))
+    }
+}
+
 fn parse_list<T: std::str::FromStr>(no: usize, rest: &str) -> Result<Vec<T>, SimError> {
     rest.split_whitespace().map(|t| parse_token(no, t)).collect()
 }
 
+fn parse_floats(no: usize, rest: &str) -> Result<Vec<f64>, SimError> {
+    rest.split_whitespace().map(|t| parse_f64(no, t)).collect()
+}
+
+/// Parses one machine slug, naming the kind and the offending token
+/// on failure.
+fn parse_slug<T>(
+    no: usize,
+    token: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, SimError> {
+    parse(token).ok_or_else(|| persist_err(no, format!("unknown {what} {token:?}")))
+}
+
 /// Parses a whitespace-separated list of machine slugs (weather-style
-/// axis lines), naming the kind and the offending token on failure.
+/// axis lines).
 fn parse_slug_list<T>(
     no: usize,
     rest: &str,
     what: &str,
     parse: impl Fn(&str) -> Option<T>,
 ) -> Result<Vec<T>, SimError> {
-    rest.split_whitespace()
-        .map(|s| parse(s).ok_or_else(|| persist_err(no, format!("unknown {what} {s:?}"))))
-        .collect()
+    rest.split_whitespace().map(|s| parse_slug(no, s, what, &parse)).collect()
 }
 
 fn parse_array<const N: usize>(no: usize, rest: &str) -> Result<[f64; N], SimError> {
-    let values: Vec<f64> = parse_list(no, rest)?;
+    let values = parse_floats(no, rest)?;
     values
         .try_into()
         .map_err(|v: Vec<f64>| persist_err(no, format!("expected {N} values, found {}", v.len())))
@@ -891,25 +784,22 @@ impl<'a> Lines<'a> {
         Err(SimError::Persist("unexpected end of document".into()))
     }
 
-    /// Accepts any of the given headers (current version first) and
-    /// returns the index of the one matched, so the caller can apply
-    /// version-specific strictness.
-    fn expect_header(&mut self, accepted: &[&str]) -> Result<usize, SimError> {
+    /// Accepts exactly `header`. Any other version of the same
+    /// document type is reported as version skew naming the one
+    /// supported header.
+    fn expect_header(&mut self, header: &str) -> Result<(), SimError> {
         let (no, line) = self.next_line()?;
-        if let Some(index) = accepted.iter().position(|h| *h == line) {
-            return Ok(index);
+        if line == header {
+            return Ok(());
         }
-        // Distinguish version skew (right document type, wrong
-        // version) from a wrong document altogether.
-        let current = accepted[0];
-        let stem = current.rsplit_once(" v").map_or(current, |(stem, _)| stem);
+        let stem = header.rsplit_once(" v").map_or(header, |(stem, _)| stem);
         if let Some(version) = line.strip_prefix(stem).and_then(|r| r.strip_prefix(" v")) {
             return Err(persist_err(
                 no,
-                format!("unsupported {stem} version {version:?}; this build reads {current:?}"),
+                format!("unsupported {stem} version {version:?}; this build reads {header:?}"),
             ));
         }
-        Err(persist_err(no, format!("expected {current:?}, found {line:?}")))
+        Err(persist_err(no, format!("expected {header:?}, found {line:?}")))
     }
 }
 
@@ -947,34 +837,26 @@ mod tests {
         CampaignReport::from_parts(0, cells)
     }
 
-    /// `report` with its idle counters zeroed — what decoding a
-    /// pre-v5 rendering of it must produce (the axis did not exist).
-    fn without_idle(report: &CampaignReport) -> CampaignReport {
-        let cells = report
-            .cells()
-            .iter()
-            .map(|c| CellOutcome { idle_time_seconds: 0.0, idle_entries: 0, ..*c })
-            .collect();
-        CampaignReport::from_parts(report.start(), cells)
-    }
-
-    /// `report` with its stress metrics zeroed — what decoding a
-    /// pre-v6 rendering of it must produce (the axes did not exist;
-    /// `sample_report` keeps the axis specs themselves at their
-    /// defaults, so only the metrics differ).
-    fn without_stress(report: &CampaignReport) -> CampaignReport {
-        let cells = report
-            .cells()
-            .iter()
-            .map(|c| CellOutcome {
-                peak_temp_c: 0.0,
-                throttle_time_seconds: 0.0,
-                boost_time_seconds: 0.0,
-                faults_injected: 0,
-                ..*c
-            })
-            .collect();
-        CampaignReport::from_parts(report.start(), cells)
+    /// A survivor with round outcome figures and no idling or stress.
+    fn plain_outcome(cell: CampaignCell) -> CellOutcome {
+        CellOutcome {
+            cell,
+            survived: true,
+            lifetime_seconds: 30.0,
+            vc_stability: 0.5,
+            instructions_billions: 1.0,
+            renders_per_minute: 2.0,
+            energy_in_joules: 3.0,
+            energy_out_joules: 1.5,
+            transitions: 4,
+            final_vc: 5.3,
+            idle_time_seconds: 0.0,
+            idle_entries: 0,
+            peak_temp_c: 0.0,
+            throttle_time_seconds: 0.0,
+            boost_time_seconds: 0.0,
+            faults_injected: 0,
+        }
     }
 
     #[test]
@@ -1024,10 +906,11 @@ mod tests {
     fn malformed_documents_are_rejected_with_line_numbers() {
         let cases = [
             ("", "unexpected end"),
-            ("pn-campaign-spec v1\nend\n", "expected \"pn-campaign-report v6\""),
-            ("pn-campaign-report v1\nstart 0\ncells 1\nend\n", "expected a cell line"),
-            ("pn-campaign-report v1\nstart 0\ncells 0\nEND\n", "end marker"),
-            ("pn-campaign-report v1\nstart zero\ncells 0\nend\n", "undecodable token"),
+            ("pn-campaign-spec v6\nend\n", "expected \"pn-campaign-report v7\""),
+            ("pn-campaign-report v7\nstart 0\ncells 1\nend\n", "expected a cell line"),
+            ("pn-campaign-report v7\nstart 0\ncells 0\nEND\n", "end marker"),
+            ("pn-campaign-report v7\nstart zero\ncells 0\nend\n", "undecodable token"),
+            ("pn-campaign-report v7\nstart 1\ncells 18446744073709551615\nend\n", "overflow"),
         ];
         for (doc, needle) in cases {
             let err = report_from_str(doc).unwrap_err();
@@ -1066,8 +949,7 @@ mod tests {
         // ...but a final cell line torn mid-write (a crash during
         // append: no newline, trailing tokens missing) must come back
         // as SimError::Persist pointing at that line — token counts
-        // are exact per version, so no prefix decodes as an older
-        // dialect.
+        // are exact, so no prefix decodes.
         let cell_line = wire.lines().find(|l| l.starts_with("cell ")).unwrap();
         let tokens: Vec<&str> = cell_line.split(' ').collect();
         for keep in 1..tokens.len() {
@@ -1093,28 +975,34 @@ mod tests {
         let err = report_from_str(&format!("{prefix}{torn_summary}")).unwrap_err();
         assert!(err.to_string().contains("summary line missing its label"), "{err}");
         // A spec whose final options line lost its last token without
-        // a newline is rejected, not reinterpreted as an older spec.
+        // a newline is rejected too.
         let spec_doc = spec_to_string(&CampaignSpec::smoke());
         let torn = spec_doc.trim_end_matches("end\n").trim_end();
         let torn = torn.rsplit_once(' ').unwrap().0;
         let err = spec_from_str(torn).unwrap_err();
-        assert!(err.to_string().contains("options section wants 5 tokens"), "{err}");
+        assert!(err.to_string().contains("options section wants 4 tokens"), "{err}");
     }
 
     #[test]
     fn version_skew_is_reported_as_a_persist_error() {
-        let wire = report_to_string(&sample_report());
-        let skewed = wire.replacen("pn-campaign-report v6", "pn-campaign-report v7", 1);
-        let err = report_from_str(&skewed).unwrap_err();
-        assert!(matches!(err, SimError::Persist(_)), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("unsupported"), "{msg}");
-        assert!(msg.contains("v6"), "message {msg:?} does not name the supported version");
-        // Specs skew independently.
-        let spec_doc = spec_to_string(&CampaignSpec::smoke());
-        let skewed = spec_doc.replacen("pn-campaign-spec v5", "pn-campaign-spec v9", 1);
-        let err = spec_from_str(&skewed).unwrap_err();
-        assert!(err.to_string().contains("unsupported"), "{err}");
+        // Every retired version and a future one name the supported
+        // header; specs skew independently of reports.
+        let report = report_to_string(&sample_report());
+        for v in [1, 2, 3, 4, 5, 6, 8] {
+            let doc = report.replacen(REPORT_HEADER, &format!("pn-campaign-report v{v}"), 1);
+            let err = report_from_str(&doc).unwrap_err();
+            assert!(matches!(err, SimError::Persist(_)), "report v{v}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("unsupported") && msg.contains(REPORT_HEADER), "v{v}: {msg}");
+        }
+        let spec = spec_to_string(&CampaignSpec::smoke());
+        for v in [1, 2, 3, 4, 5, 9] {
+            let doc = spec.replacen(SPEC_HEADER, &format!("pn-campaign-spec v{v}"), 1);
+            let err = spec_from_str(&doc).unwrap_err();
+            assert!(matches!(err, SimError::Persist(_)), "spec v{v}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("unsupported") && msg.contains(SPEC_HEADER), "v{v}: {msg}");
+        }
     }
 
     #[test]
@@ -1129,112 +1017,20 @@ mod tests {
         assert!(summary_lines.iter().any(|l| l.ends_with("full sun")));
         // The document still round-trips bitwise with summaries in it.
         assert_eq!(report_from_str(&wire).unwrap(), report);
-        // Documents without summaries still decode, both as bare v2
-        // and under the pre-summary v1 header.
+        // The sections are part of the dialect: stripping them is a
+        // mismatch, while an empty report matches with none.
         let stripped: String =
             wire.lines().filter(|l| !l.starts_with("summary ")).fold(String::new(), |mut s, l| {
                 s.push_str(l);
                 s.push('\n');
                 s
             });
-        assert_eq!(report_from_str(&stripped).unwrap(), report);
-        // Relabelling a v6 body as v1 is corruption, not a dialect:
-        // v1 cell lines never carried the idle, stress or options
-        // tokens.
-        let v1 = stripped.replacen("pn-campaign-report v6", "pn-campaign-report v1", 1);
-        let err = report_from_str(&v1).unwrap_err();
-        assert!(err.to_string().contains("unexpected trailing tokens"), "{err}");
-    }
-
-    /// Renders `wire` as an older report dialect: keeps the 18
-    /// outcome tokens of every cell line (plus, for v5, the two idle
-    /// counters) and the first `option_tokens` of its options suffix
-    /// (always dropping the seven v6 stress tokens), strips summaries,
-    /// and relabels the header.
-    fn as_legacy_report(wire: &str, header: &str, option_tokens: usize, keep_idle: bool) -> String {
-        wire.lines()
-            .filter(|l| !l.starts_with("summary "))
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("cell ") {
-                    let tokens: Vec<&str> = rest.split_whitespace().collect();
-                    assert_eq!(
-                        tokens.len(),
-                        32,
-                        "v6 cell lines carry idle + stress + options tokens"
-                    );
-                    let keep = if keep_idle { 20 } else { 18 };
-                    let mut line = format!("cell {}", tokens[..keep].join(" "));
-                    for option in &tokens[27..][..option_tokens] {
-                        line.push(' ');
-                        line.push_str(option);
-                    }
-                    line.push('\n');
-                    line
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect::<String>()
-            .replacen("pn-campaign-report v6", header, 1)
-    }
-
-    #[test]
-    fn pre_v6_documents_without_stress_idle_engine_or_options_still_decode() {
-        // Pre-v6 dialects never carried the stress tokens (and pre-v5
-        // ones not the idle counters either), so their cells decode
-        // with zeroed stress metrics and idle accounting.
-        let report = sample_report();
-        let expected_v5 = without_stress(&report);
-        let expected = without_idle(&expected_v5);
-        let wire = report_to_string(&report);
-        // v1/v2: bare 18-token cell lines, no overrides at all.
-        for legacy_header in ["pn-campaign-report v1", "pn-campaign-report v2"] {
-            let doc = as_legacy_report(&wire, legacy_header, 0, false);
-            let decoded = report_from_str(&doc).unwrap();
-            assert_eq!(decoded, expected, "{legacy_header} document drifted");
-            assert!(decoded.cells().iter().all(|c| c.cell.options == SimOverrides::none()));
-        }
-        // v3: three-token options suffix (no engine, no idle token).
-        let decoded =
-            report_from_str(&as_legacy_report(&wire, "pn-campaign-report v3", 3, false)).unwrap();
-        assert_eq!(decoded, expected, "v3 document drifted");
-        assert!(decoded.cells().iter().all(|c| c.cell.options.engine.is_none()));
-        // v4: four-token options suffix (engine but no idle token).
-        let decoded =
-            report_from_str(&as_legacy_report(&wire, "pn-campaign-report v4", 4, false)).unwrap();
-        assert_eq!(decoded, expected, "v4 document drifted");
-        assert!(decoded.cells().iter().all(|c| c.cell.options.idle.is_none()));
-        // v5: idle counters and full options, but no stress tokens —
-        // the axes decode at their defaults with zeroed metrics.
-        let decoded =
-            report_from_str(&as_legacy_report(&wire, "pn-campaign-report v5", 5, true)).unwrap();
-        assert_eq!(decoded, expected_v5, "v5 document drifted");
-        assert!(decoded.cells().iter().all(|c| c.cell.thermal == ThermalSpec::Off
-            && c.cell.arrival == ArrivalSpec::Saturated
-            && c.cell.fault == FaultSpec::None));
-        // Pre-v2 specs decode with no overrides too (and, being
-        // pre-v5, carry no stress-axis lines either).
-        let spec = CampaignSpec::smoke();
-        let spec_doc = spec_to_string(&spec);
-        let strip = |doc: &str, keys: &[&str]| -> String {
-            doc.lines()
-                .filter(|l| !keys.iter().any(|k| l.starts_with(k)))
-                .map(|l| format!("{l}\n"))
-                .collect()
-        };
-        let legacy = strip(&spec_doc, &["options ", "thermals ", "arrivals ", "faults "]);
-        let legacy = legacy.replacen("pn-campaign-spec v5", "pn-campaign-spec v1", 1);
-        assert_eq!(spec_from_str(&legacy).unwrap(), spec);
-        // A v3 spec: four-token options line (no idle token).
-        let v3 = strip(&spec_doc, &["thermals ", "arrivals ", "faults "])
-            .replacen("options - - - - -", "options - - - -", 1)
-            .replacen("pn-campaign-spec v5", "pn-campaign-spec v3", 1);
-        assert_ne!(v3, spec_doc, "expected the default options line");
-        assert_eq!(spec_from_str(&v3).unwrap(), spec);
-        // A v4 spec: full options line, no stress-axis lines.
-        let v4 = strip(&spec_doc, &["thermals ", "arrivals ", "faults "])
-            .replacen("pn-campaign-spec v5", "pn-campaign-spec v4", 1);
-        assert_eq!(spec_from_str(&v4).unwrap(), spec);
+        let err = report_from_str(&stripped).unwrap_err();
+        assert!(err.to_string().contains("does not match the cell rows"), "{err}");
+        let empty = CampaignReport::from_parts(3, Vec::new());
+        let doc = report_to_string(&empty);
+        assert!(!doc.contains("summary "), "{doc}");
+        assert_eq!(report_from_str(&doc).unwrap(), empty);
     }
 
     #[test]
@@ -1242,7 +1038,6 @@ mod tests {
         let overrides = SimOverrides::none()
             .with_record_dt(Seconds::new(0.1 + 0.2)) // awkward float
             .with_supply_model(SupplyModel::Interpolated { tol: 1.0 / 3.0 })
-            .with_engine(EngineKind::Scalar)
             .with_idle(false);
         let spec = CampaignSpec::smoke().with_cell_options(overrides);
         assert_eq!(spec_from_str(&spec_to_string(&spec)).unwrap(), spec);
@@ -1250,22 +1045,9 @@ mod tests {
             .cells()
             .iter()
             .map(|&cell| CellOutcome {
-                cell,
-                survived: true,
-                lifetime_seconds: 30.0,
-                vc_stability: 0.5,
-                instructions_billions: 1.0,
-                renders_per_minute: 2.0,
-                energy_in_joules: 3.0,
-                energy_out_joules: 1.5,
-                transitions: 4,
-                final_vc: 5.3,
                 idle_time_seconds: 0.125,
                 idle_entries: 3,
-                peak_temp_c: 0.0,
-                throttle_time_seconds: 0.0,
-                boost_time_seconds: 0.0,
-                faults_injected: 0,
+                ..plain_outcome(cell)
             })
             .collect();
         let report = CampaignReport::from_parts(0, cells);
@@ -1309,22 +1091,11 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &cell)| CellOutcome {
-                cell,
-                survived: true,
-                lifetime_seconds: 30.0,
-                vc_stability: 0.5,
-                instructions_billions: 1.0,
-                renders_per_minute: 2.0,
-                energy_in_joules: 3.0,
-                energy_out_joules: 1.5,
-                transitions: 4,
-                final_vc: 5.3,
-                idle_time_seconds: 0.0,
-                idle_entries: 0,
                 peak_temp_c: 61.0 + i as f64 * (1.0 / 7.0),
                 throttle_time_seconds: i as f64 * (1.0 / 3.0),
                 boost_time_seconds: 0.1 + 0.2,
                 faults_injected: 2 + i as u64,
+                ..plain_outcome(cell)
             })
             .collect();
         let report = CampaignReport::from_parts(0, cells);
@@ -1346,28 +1117,8 @@ mod tests {
         let overrides =
             SimOverrides::none().with_supply_model(SupplyModel::Interpolated { tol: 1e-3 });
         let spec = CampaignSpec::smoke().with_cell_options(overrides);
-        let cells: Vec<CellOutcome> = spec
-            .cells()
-            .iter()
-            .map(|&cell| CellOutcome {
-                cell,
-                survived: true,
-                lifetime_seconds: 30.0,
-                vc_stability: 0.5,
-                instructions_billions: 1.0,
-                renders_per_minute: 2.0,
-                energy_in_joules: 3.0,
-                energy_out_joules: 1.5,
-                transitions: 4,
-                final_vc: 5.3,
-                idle_time_seconds: 0.0,
-                idle_entries: 0,
-                peak_temp_c: 0.0,
-                throttle_time_seconds: 0.0,
-                boost_time_seconds: 0.0,
-                faults_injected: 0,
-            })
-            .collect();
+        let cells: Vec<CellOutcome> =
+            spec.cells().iter().map(|&cell| plain_outcome(cell)).collect();
         let wire = report_to_string(&CampaignReport::from_parts(0, cells));
         let cases = [
             // Unknown supply-model token.
@@ -1377,11 +1128,11 @@ mod tests {
             // Negative interval.
             ("- - interp:0.001", "-4 - interp:0.001", "must be positive"),
             // Wrong token count (options suffix torn in half).
-            ("- - interp:0.001 - -", "- interp:0.001 - -", "options section wants 5 tokens"),
-            // Unknown engine token.
-            ("interp:0.001 - -", "interp:0.001 vector -", "unknown engine"),
+            ("- - interp:0.001 -", "- interp:0.001 -", "options section wants 4 tokens"),
+            // A retired engine token between the model and idle flag.
+            ("interp:0.001 -", "interp:0.001 scalar -", "options section wants 4 tokens"),
             // Unknown idle token.
-            ("interp:0.001 - -", "interp:0.001 - maybe", "unknown idle flag"),
+            ("interp:0.001 -", "interp:0.001 maybe", "unknown idle flag"),
             // Unknown stress-axis slugs.
             (" off saturated none ", " lava saturated none ", "unknown thermal spec"),
             (" off saturated none ", " off sporadic none ", "unknown arrival spec"),
@@ -1394,29 +1145,28 @@ mod tests {
             assert!(matches!(err, SimError::Persist(_)), "{err}");
             assert!(err.to_string().contains(expected), "{replacement:?} → {err}");
         }
-        // A v6 cell line torn right after the stress tokens must be
-        // rejected too — only genuine pre-v3 headers may omit the
-        // options suffix.
-        let torn = wire.replacen(" - - interp:0.001 - -", "", 1);
+        // A cell line torn right after the stress tokens is rejected
+        // too.
+        let torn = wire.replacen(" - - interp:0.001 -", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
-        assert!(err.to_string().contains("missing its options section"), "{err}");
+        assert!(err.to_string().contains("wants 4 tokens, found 0"), "{err}");
         // Torn before the stress tokens — the thermal slug lost.
-        let torn = wire.replacen(" off saturated none 0 0 0 0 - - interp:0.001 - -", "", 1);
+        let torn = wire.replacen(" off saturated none 0 0 0 0 - - interp:0.001 -", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
         assert!(err.to_string().contains("missing thermal"), "{err}");
         // Torn even earlier — the idle counters themselves lost.
-        let torn = wire.replacen(" 0 0 off saturated none 0 0 0 0 - - interp:0.001 - -", "", 1);
+        let torn = wire.replacen(" 0 0 off saturated none 0 0 0 0 - - interp:0.001 -", "", 1);
         assert_ne!(torn, wire, "tamper target not found");
         let err = report_from_str(&torn).unwrap_err();
         assert!(err.to_string().contains("missing idle_time"), "{err}");
         // Spec options lines are validated the same way.
         let spec_doc = spec_to_string(&spec);
-        let bad = spec_doc.replacen("options - - interp:0.001 - -", "options - -", 1);
+        let bad = spec_doc.replacen("options - - interp:0.001 -", "options - -", 1);
         assert_ne!(bad, spec_doc);
         let err = spec_from_str(&bad).unwrap_err();
-        assert!(err.to_string().contains("options section wants 5 tokens"), "{err}");
+        assert!(err.to_string().contains("options section wants 4 tokens"), "{err}");
     }
 
     #[test]

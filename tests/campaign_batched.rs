@@ -5,12 +5,12 @@
 //! and four shards merged back together must all produce the same
 //! bytes. These suites pin that across the governor, weather, seed and
 //! supply-model axes and the adversarial stress palette, and check
-//! that the engine token old specs still carry changes nothing.
+//! that spelling out a default option changes nothing.
 
 use power_neutral::harvest::faults::FaultSpec;
 use power_neutral::harvest::weather::Weather;
 use power_neutral::sim::campaign::{run_campaign, CampaignReport, CampaignSpec, GovernorSpec};
-use power_neutral::sim::engine::{EngineKind, SimOverrides};
+use power_neutral::sim::engine::SimOverrides;
 use power_neutral::sim::executor::Executor;
 use power_neutral::sim::persist;
 use power_neutral::sim::supply::SupplyModel;
@@ -176,8 +176,7 @@ fn full_governor_axis_matches_in_one_batch() {
 #[test]
 fn per_cell_dispatched_campaigns_are_thread_count_invariant() {
     // One executor item per cell: the report must be independent of
-    // how many workers claim them, including under a recorded engine
-    // token.
+    // how many workers claim them, including under a per-cell option.
     let spec = CampaignSpec::new()
         .expect("paper preset valid")
         .with_weathers(vec![Weather::FullSun, Weather::Cloudy, Weather::Stormy])
@@ -189,7 +188,8 @@ fn per_cell_dispatched_campaigns_are_thread_count_invariant() {
         let wide = run_campaign(&spec, &Executor::new(threads)).unwrap();
         assert_eq!(wide, sequential, "{threads}-thread dispatch diverged");
     }
-    let tagged = spec.with_cell_options(SimOverrides::none().with_engine(EngineKind::Scalar));
+    let tagged = spec
+        .with_cell_options(SimOverrides::none().with_supply_model(SupplyModel::interpolated()));
     let tagged_sequential = run_campaign(&tagged, &Executor::sequential()).unwrap();
     let tagged_wide = run_campaign(&tagged, &Executor::new(4)).unwrap();
     assert_eq!(tagged_wide, tagged_sequential);
@@ -213,16 +213,17 @@ fn dpm_governors_match_bitwise_across_every_weather() {
 
 #[test]
 fn scalar_and_batched_csv_exports_are_byte_identical() {
-    // The engine token is recorded, not acted on, and the CSV bridge
-    // carries no engine column: specs tagged with either token, or
-    // with none, export the same bytes.
+    // The CSV export is the same bytes whether the cells run one at a
+    // time or in parallel batches, and whether a spec spells out the
+    // default (exact) supply model or inherits it: the CSV's
+    // supply-model column names the effective model.
     let spec = CampaignSpec::smoke().with_duration(Seconds::new(10.0));
-    let executor = Executor::new(2);
-    let csv = |options: SimOverrides| {
-        let report = run_campaign(&spec.clone().with_cell_options(options), &executor).unwrap();
+    let csv = |options: SimOverrides, executor: &Executor| {
+        let report = run_campaign(&spec.clone().with_cell_options(options), executor).unwrap();
         persist::report_csv_string(&report).unwrap()
     };
-    let untagged = csv(SimOverrides::none());
-    assert_eq!(csv(SimOverrides::none().with_engine(EngineKind::Scalar)), untagged);
-    assert_eq!(csv(SimOverrides::none().with_engine(EngineKind::Batched)), untagged);
+    let inherited = csv(SimOverrides::none(), &Executor::sequential());
+    assert_eq!(csv(SimOverrides::none(), &Executor::new(2)), inherited);
+    let explicit = SimOverrides::none().with_supply_model(SupplyModel::Exact);
+    assert_eq!(csv(explicit, &Executor::new(2)), inherited);
 }

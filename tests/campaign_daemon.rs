@@ -117,8 +117,6 @@ fn restart_after_torn_and_missing_checkpoints_is_byte_exact() {
 
 #[test]
 fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
-    use power_neutral::sim::engine::EngineKind;
-
     let dir = checkpoint_dir("edited");
     let spec = spec();
     {
@@ -129,12 +127,12 @@ fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
         daemon.stop();
     }
 
-    // Edit the persisted spec (record the scalar engine token): the
+    // Edit the persisted spec (a coarser recording interval): the
     // existing checkpoints still match by label, but their options no
     // longer match the spec, so recovery must discard them and
     // recompute under the edited spec.
     let mut edited = spec;
-    edited.options.engine = Some(EngineKind::Scalar);
+    edited.options.record_dt = Some(Seconds::new(1.0));
     let job_dir = dir.join("job-1");
     std::fs::write(job_dir.join("spec.pnc"), persist::spec_to_string(&edited))
         .expect("edit spec");
@@ -144,6 +142,57 @@ fn stale_checkpoints_from_an_edited_spec_are_recomputed_not_merged() {
     let addr = daemon.addr().to_string();
     let streamed = daemon::watch_csv(&addr, 1).expect("watch recovered job");
     assert_eq!(streamed, oneshot_csv(&edited), "recovered job must follow the edited spec");
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn undecodable_job_directories_keep_their_ids() {
+    // A job directory recovery cannot adopt (here: a spec in a retired
+    // wire dialect) is skipped, not reused: the next submit gets a
+    // fresh id and directory, and the old files stay as they were.
+    let dir = checkpoint_dir("skip-ids");
+    let stale = dir.join("job-1");
+    std::fs::create_dir_all(&stale).expect("stale job dir");
+    let old_spec = persist::spec_to_string(&spec())
+        .replacen("pn-campaign-spec v6", "pn-campaign-spec v5", 1);
+    std::fs::write(stale.join("spec.pnc"), &old_spec).expect("stale spec");
+    std::fs::write(stale.join("shard-0.pnc"), "stale shard\n").expect("stale shard");
+
+    let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(2)).expect("start");
+    let addr = daemon.addr().to_string();
+    let spec = spec();
+    let ticket = daemon::submit(&addr, &spec, 2).expect("submit");
+    assert_eq!(ticket.id, 2, "the skipped job-1 directory must not be reused");
+    assert_eq!(daemon::watch_csv(&addr, ticket.id).expect("watch"), oneshot_csv(&spec));
+    assert_eq!(std::fs::read_to_string(stale.join("spec.pnc")).expect("stale spec"), old_spec);
+    let shard = std::fs::read_to_string(stale.join("shard-0.pnc")).expect("stale shard");
+    assert_eq!(shard, "stale shard\n");
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrent_submits_get_distinct_ids_and_directories() {
+    const SUBMITS: usize = 8;
+    let dir = checkpoint_dir("ids");
+    let daemon = Daemon::start(DaemonConfig::new(&dir).with_workers(2)).expect("start");
+    let addr = daemon.addr().to_string();
+    let spec = spec();
+    let mut ids: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..SUBMITS)
+            .map(|_| scope.spawn(|| daemon::submit(&addr, &spec, 1).expect("submit").id))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("submit thread")).collect()
+    });
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), SUBMITS, "duplicate job ids: {ids:?}");
+    let expected = oneshot_csv(&spec);
+    for id in ids {
+        assert!(dir.join(format!("job-{id}")).join("spec.pnc").is_file(), "job {id} has no spec");
+        assert_eq!(daemon::watch_csv(&addr, id).expect("watch"), expected, "job {id}");
+    }
     daemon.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,6 +15,10 @@
 //!   through a [`TraceCache`] replay bitwise-identically to uncached
 //!   runs, and repeated (weather, seed) pairs are served from the
 //!   cache instead of re-rendered.
+//! * **Total decoders** — no byte soup and no golden document with one
+//!   token swapped for an extreme value makes the spec or report
+//!   decoder panic; every document they accept re-encodes to one that
+//!   decodes equal to it.
 
 use power_neutral::core::params::ControlParams;
 use power_neutral::harvest::cache::TraceCache;
@@ -144,7 +148,7 @@ fn golden_stress_artifacts_pin_throttle_then_recover() {
 
 #[test]
 fn stress_spec_documents_re_emit_byte_identically() {
-    // Spec v5 determinism: parse → emit must reproduce the document
+    // Spec determinism: parse → emit must reproduce the document
     // byte for byte, so shard coordinators can fingerprint specs by
     // their serialized form.
     let wire = persist::spec_to_string(&stress_spec());
@@ -237,7 +241,7 @@ fn resume_rejects_duplicate_cells_by_label() {
 
 #[test]
 fn interpolated_campaigns_round_trip_and_stay_self_describing() {
-    // The v3 wire contract end to end: per-cell options survive the
+    // The per-cell options wire contract end to end: per-cell options survive the
     // file round trip bitwise, the CSV names the model per row, and a
     // saved interpolated report cannot silently resume an exact spec.
     let spec = quick_spec().with_supply_model(SupplyModel::interpolated());
@@ -441,4 +445,103 @@ proptest! {
             prop_assert!(merged.is_err(), "gap after shard {} went undetected", victim);
         }
     }
+}
+
+/// The checked-in report documents the totality tests mutate.
+const GOLDEN_REPORTS: [&str; 3] = [
+    include_str!("golden/campaign_smoke.pnc"),
+    include_str!("golden/campaign_stress.pnc"),
+    include_str!("golden/campaign_adaptive.pnc"),
+];
+
+/// Replacement values for one token: the largest `u64`, a negative, a
+/// `NaN`, an infinity, the unset marker, and nothing at all.
+const EXTREMES: [&str; 6] = ["18446744073709551615", "-1", "NaN", "inf", "-", ""];
+
+/// Decodes `doc` as a report; when that succeeds, the re-encoded
+/// document must decode equal to the result.
+fn report_decode_is_closed(doc: &str) -> bool {
+    match persist::report_from_str(doc) {
+        Ok(report) => {
+            persist::report_from_str(&persist::report_to_string(&report)).ok() == Some(report)
+        }
+        Err(e) => matches!(e, SimError::Persist(_)),
+    }
+}
+
+/// [`report_decode_is_closed`] for spec documents.
+fn spec_decode_is_closed(doc: &str) -> bool {
+    match persist::spec_from_str(doc) {
+        Ok(spec) => persist::spec_from_str(&persist::spec_to_string(&spec)).ok() == Some(spec),
+        Err(e) => matches!(e, SimError::Persist(_)),
+    }
+}
+
+/// Every copy of `doc` with exactly one whitespace-separated token
+/// replaced by one of [`EXTREMES`].
+fn one_token_variants(doc: &str) -> impl Iterator<Item = String> + '_ {
+    doc.split_whitespace().flat_map(move |token| {
+        // `token` borrows from `doc`, so its offset is the distance
+        // between the two pointers.
+        let at = token.as_ptr() as usize - doc.as_ptr() as usize;
+        let (head, tail) = (&doc[..at], &doc[at + token.len()..]);
+        EXTREMES.iter().map(move |value| format!("{head}{value}{tail}"))
+    })
+}
+
+proptest! {
+    #[test]
+    fn decoders_are_total_over_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
+        let soup = String::from_utf8_lossy(&bytes);
+        prop_assert!(spec_decode_is_closed(&soup));
+        prop_assert!(report_decode_is_closed(&soup));
+        // Behind a valid header the soup reaches the body parsers.
+        prop_assert!(spec_decode_is_closed(&format!("pn-campaign-spec v6\n{soup}")));
+        prop_assert!(report_decode_is_closed(&format!("pn-campaign-report v7\n{soup}")));
+    }
+}
+
+#[test]
+fn golden_documents_with_one_extreme_token_decode_or_fail_typed() {
+    for golden in GOLDEN_REPORTS {
+        assert!(persist::report_from_str(golden).is_ok(), "golden no longer decodes");
+        for variant in one_token_variants(golden) {
+            assert!(report_decode_is_closed(&variant), "not closed:\n{variant}");
+        }
+    }
+    let spec = persist::spec_to_string(&stress_spec());
+    for variant in one_token_variants(&spec) {
+        assert!(spec_decode_is_closed(&variant), "not closed:\n{variant}");
+    }
+}
+
+#[test]
+fn huge_cell_counts_fail_typed_without_allocating() {
+    for count in ["100000000000", "18446744073709551615"] {
+        let doc = GOLDEN_REPORTS[0].replacen("cells 4", &format!("cells {count}"), 1);
+        assert_ne!(doc, GOLDEN_REPORTS[0], "tamper target not found");
+        let err = persist::report_from_str(&doc).unwrap_err();
+        assert!(matches!(err, SimError::Persist(_)), "cells {count}: {err}");
+    }
+}
+
+#[test]
+fn start_offsets_that_overflow_fail_resume_typed() {
+    let spec = CampaignSpec::smoke();
+    let doc = GOLDEN_REPORTS[0].replacen("start 0", "start 18446744073709551615", 1);
+    assert_ne!(doc, GOLDEN_REPORTS[0], "tamper target not found");
+    // Resuming from the document fails at decode...
+    let err = persist::report_from_str(&doc)
+        .and_then(|saved| resume_campaign(&spec, &saved, &Executor::sequential(), None))
+        .unwrap_err();
+    assert!(matches!(err, SimError::Persist(_)), "{err}");
+    assert!(err.to_string().contains("overflow"), "{err}");
+    // ...and the same report built in memory fails resume and merge
+    // with typed errors instead of overflowing an index.
+    let saved = CampaignReport::from_parts(usize::MAX, smoke_report().cells()[..1].to_vec());
+    let err = resume_campaign(&spec, &saved, &Executor::sequential(), None).unwrap_err();
+    assert!(matches!(err, SimError::Campaign(_)), "{err}");
+    let tail = CampaignReport::from_parts(usize::MAX - 1, smoke_report().cells()[..1].to_vec());
+    let err = CampaignReport::merge([tail, saved]).unwrap_err();
+    assert!(matches!(err, SimError::Campaign(_)), "{err}");
 }
